@@ -1,12 +1,17 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store bench-conditional staticcheck govulncheck ci clean
+.PHONY: all build fmt-check vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store bench-conditional staticcheck govulncheck ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# gofmt gate: fails when any Go file is not gofmt-formatted
+# (`gofmt -l .` lists them).
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -18,10 +23,11 @@ test:
 # fault-tolerant training fan-out, and the lot-parallel generation
 # pipeline: the matmul worker pool, the per-sample DP-SGD fan-out, the
 # chunked fine-tune fan-out, the checkpoint/resume orchestrator, the
-# generation scratch pool, the shared decode cache, the durable model
-# registry (DESIGN.md §6–8, §10), and the serving fast path — the
-# snapshot LRU, the cross-request batch scheduler, and the lot-parallel
-# float32 sampler (DESIGN.md §11) — plus the columnar trace store and
+# generation scratch pool, the durable model registry (DESIGN.md §6–8,
+# §10), and the serving paths — the per-model entry cache whose one
+# decoded synthesizer serves concurrent fresh-stream float64 generates,
+# the cross-request batch scheduler, and the lot-parallel float32 sampler
+# (DESIGN.md §10–11) — plus the columnar trace store and
 # the webapi artifact cache layered on it (DESIGN.md §13) and the
 # distributed chunk queue with its worker-kill golden test (DESIGN.md §14).
 # internal/trace covers the template-based egress encoders (NetFlow v9,
@@ -155,7 +161,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
+ci: fmt-check vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
 
 clean:
 	$(GO) clean ./...

@@ -117,9 +117,9 @@ func TestFlowThresholdsHaveTeeth(t *testing.T) {
 	distorted := &trace.FlowTrace{Records: append([]trace.FlowRecord(nil), ref.Records...)}
 	span := ref.Duration()
 	for i := range distorted.Records {
-		distorted.Records[i].Tuple.SrcPort = 0     // collapse SP to one value
-		distorted.Records[i].Start += 2 * span     // shift TS by 2x the range
-		distorted.Records[i].Packets = 1_000_000   // move PKT mass far out
+		distorted.Records[i].Tuple.SrcPort = 0   // collapse SP to one value
+		distorted.Records[i].Start += 2 * span   // shift TS by 2x the range
+		distorted.Records[i].Packets = 1_000_000 // move PKT mass far out
 	}
 	rep := FlowReport(ref, distorted)
 	violations := rep.Check(DefaultFlowThresholds)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
-
 	"repro/internal/dgan"
 	"repro/internal/ip2vec"
 	"repro/internal/mat"
@@ -13,63 +10,8 @@ import (
 // Batched five-tuple decode for the generation pipeline. Per-sample decode
 // runs one linear nearest-neighbour search per port/protocol field; here all
 // fields of a generated batch are gathered into query matrices and resolved
-// with one ip2vec.NearestBatch (a single matmul) per kind, fronted by an
-// exact-hit cache keyed on the raw generator output row. Cached values always
-// equal what the search would recompute, so concurrent chunk decoders may
-// share the cache without affecting results.
-
-// decodeCacheCap bounds the exact-hit cache. Entries are never evicted; once
-// the cap is reached new rows are simply not inserted (generator outputs
-// repeat exactly only when sequences collide bitwise, so the cache stays
-// small in practice and the cap is a safety net).
-const decodeCacheCap = 1 << 16
-
-// Cache key kind prefixes.
-const (
-	portCacheKind  byte = 0
-	protoCacheKind byte = 1
-)
-
-// cacheKey serializes a raw (normalized) embedding row into a map key. The
-// float bits are used verbatim: the cache hits only on exact repeats.
-func cacheKey(kind byte, row []float64) string {
-	b := make([]byte, 1+8*len(row))
-	b[0] = kind
-	for i, x := range row {
-		binary.LittleEndian.PutUint64(b[1+8*i:], math.Float64bits(x))
-	}
-	return string(b)
-}
-
-func (pe *portEmbedding) cached(kind byte, row []float64) (uint32, bool) {
-	v, ok := pe.cache.Load(cacheKey(kind, row))
-	if !ok {
-		return 0, false
-	}
-	return v.(uint32), true
-}
-
-// storeCached inserts a decode result unless the cache is at capacity. The
-// slot is reserved with a CAS loop *before* the LoadOrStore, so concurrent
-// decoders can never push cacheLen past decodeCacheCap (a plain
-// check-then-add would let N racing writers overshoot by up to N−1); a
-// reservation whose LoadOrStore loses to an identical concurrent insert is
-// returned to the pool.
-func (pe *portEmbedding) storeCached(kind byte, row []float64, value uint32) {
-	for {
-		n := pe.cacheLen.Load()
-		if n >= decodeCacheCap {
-			telDecodeCacheSkips.Inc()
-			return
-		}
-		if pe.cacheLen.CompareAndSwap(n, n+1) {
-			break
-		}
-	}
-	if _, loaded := pe.cache.LoadOrStore(cacheKey(kind, row), value); loaded {
-		pe.cacheLen.Add(-1)
-	}
-}
+// with one ip2vec.NearestBatch (a single matmul) per kind. The decode only
+// reads the embedding, so concurrent chunk decoders may share it.
 
 // fallbackPort is the explicit decode fallback when the dictionary has no
 // port vocabulary: the numerically lowest known port, or 0 when the
@@ -99,38 +41,23 @@ func (pe *portEmbedding) invertInto(dst, row []float64) {
 }
 
 // decodeKindBatch resolves every row to its nearest word value of the given
-// kind, consulting the exact-hit cache first and searching only the misses
-// through one batched matmul. fallback is used when the kind has no
+// kind through one batched matmul. fallback is used when the kind has no
 // vocabulary at all.
-func (pe *portEmbedding) decodeKindBatch(kind ip2vec.WordKind, ck byte, rows [][]float64, fallback uint32) []uint32 {
+func (pe *portEmbedding) decodeKindBatch(kind ip2vec.WordKind, rows [][]float64, fallback uint32) []uint32 {
 	out := make([]uint32, len(rows))
-	miss := make([]int, 0, len(rows))
+	q := mat.New(len(rows), pe.dim)
 	for i, row := range rows {
-		if v, ok := pe.cached(ck, row); ok {
-			out[i] = v
-			continue
-		}
-		miss = append(miss, i)
-	}
-	telDecodeCacheHits.Add(int64(len(rows) - len(miss)))
-	telDecodeCacheMisses.Add(int64(len(miss)))
-	if len(miss) == 0 {
-		return out
-	}
-	q := mat.New(len(miss), pe.dim)
-	for qi, i := range miss {
-		pe.invertInto(q.Row(qi), rows[i])
+		pe.invertInto(q.Row(i), row)
 	}
 	words, ok := pe.model.NearestBatch(kind, q)
 	if !ok {
-		for _, i := range miss {
+		for i := range out {
 			out[i] = fallback
 		}
 		return out
 	}
-	for qi, i := range miss {
-		out[i] = words[qi].Value
-		pe.storeCached(ck, rows[i], words[qi].Value)
+	for i, w := range words {
+		out[i] = w.Value
 	}
 	return out
 }
@@ -152,8 +79,8 @@ func decodeTuples(embed *portEmbedding, ipEmbed *ipEmbedding, samples []dgan.Sam
 		portRows[2*i+1] = meta[off+d : off+2*d]
 		protoRows[i] = meta[off+2*d : off+3*d]
 	}
-	ports := embed.decodeKindBatch(ip2vec.KindPort, portCacheKind, portRows, uint32(embed.fallbackPort()))
-	protos := embed.decodeKindBatch(ip2vec.KindProto, protoCacheKind, protoRows, uint32(trace.TCP))
+	ports := embed.decodeKindBatch(ip2vec.KindPort, portRows, uint32(embed.fallbackPort()))
+	protos := embed.decodeKindBatch(ip2vec.KindProto, protoRows, uint32(trace.TCP))
 	for i := range out {
 		out[i].SrcPort = uint16(ports[2*i])
 		out[i].DstPort = uint16(ports[2*i+1])

@@ -13,10 +13,10 @@ import (
 // Serving fast path (DESIGN.md §11): FastFlowSynthesizer and
 // FastPacketSynthesizer wrap float32 inference-only snapshots of a trained
 // synthesizer's chunk models. They share the fitted codec (port embedding,
-// normalizers, decode cache) with the reference path, generate with the
-// same chunk-proportional budgeting, and add GenerateBatch — one batched
-// forward fan-out serving several requests' counts at once, the primitive
-// behind webapi's cross-request coalescing. Output is reproducible for a
+// normalizers) with the reference path, generate with the same
+// chunk-proportional budgeting, and add GenerateBatch — one batched forward
+// fan-out serving several requests' counts at once, the primitive behind
+// webapi's cross-request coalescing. Output is reproducible for a
 // fixed seed at any parallelism, but it is NOT bitwise-equal to the
 // float64 path; fidelity is pinned distributionally by
 // internal/conformance instead.
@@ -35,8 +35,8 @@ type FastFlowSynthesizer struct {
 }
 
 // Fast snapshots the trained synthesizer for serving. The snapshot shares
-// the codec (including the decode cache) but owns its generation RNGs, so
-// fast-path serving never perturbs the reference path's streams.
+// the read-only codec but owns its generation RNGs, so fast-path serving
+// never perturbs the reference path's streams.
 func (s *FlowSynthesizer) Fast() *FastFlowSynthesizer {
 	f := &FastFlowSynthesizer{cfg: s.cfg, codec: s.codec, stats: s.stats}
 	f.models = fastModels(s.models, s.cfg)

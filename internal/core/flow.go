@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/dgan"
 	"repro/internal/encoding"
@@ -376,7 +377,21 @@ func ganConfig(cfg Config, meta, feat []nn.FieldSpec) dgan.Config {
 // records are merged in chunk order before sorting, so the emitted trace is
 // byte-identical at every parallelism setting.
 func (s *FlowSynthesizer) Generate(n int) *trace.FlowTrace {
-	return s.generate(n, -1)
+	return s.generate(n, -1, false)
+}
+
+// GenerateFresh is Generate (label -1) or GenerateLabeled (label >= 0) as
+// the first call on a freshly loaded copy of s would run it: chunk i draws
+// from a new copy of its canonical generation stream instead of its
+// model's RNG. s is only read, so concurrent calls on one synthesizer are
+// safe, and every call with the same (n, label) returns the same trace.
+func (s *FlowSynthesizer) GenerateFresh(n, label int) (*trace.FlowTrace, error) {
+	if label >= 0 {
+		if err := s.checkLabel(label); err != nil {
+			return nil, err
+		}
+	}
+	return s.generate(n, label, true), nil
 }
 
 // Conditional reports whether the model was trained with scenario-label
@@ -418,24 +433,32 @@ func labelCatalog(weights [][]float64) []trace.Label {
 // conditioned on (and stamped with) the given scenario label. It fails on
 // models trained without Config.Conditional and on out-of-range labels.
 func (s *FlowSynthesizer) GenerateLabeled(n int, label trace.Label) (*trace.FlowTrace, error) {
+	if err := s.checkLabel(int(label)); err != nil {
+		return nil, err
+	}
+	return s.generate(n, int(label), false), nil
+}
+
+func (s *FlowSynthesizer) checkLabel(label int) error {
 	if !s.cfg.Conditional {
-		return nil, fmt.Errorf("core: GenerateLabeled requires a model trained with Config.Conditional")
+		return fmt.Errorf("core: GenerateLabeled requires a model trained with Config.Conditional")
 	}
-	if label >= trace.NumLabels {
-		return nil, fmt.Errorf("core: label %d out of range 0..%d", label, trace.NumLabels-1)
+	if label >= int(trace.NumLabels) {
+		return fmt.Errorf("core: label %d out of range 0..%d", label, trace.NumLabels-1)
 	}
-	return s.generate(n, int(label)), nil
+	return nil
 }
 
 // generate is the shared chunk fan-out; label -1 is unconditional mixture
-// generation, label >= 0 pins every chunk's draw to one scenario.
-func (s *FlowSynthesizer) generate(n, label int) *trace.FlowTrace {
+// generation, label >= 0 pins every chunk's draw to one scenario. fresh
+// selects the chunk streams (chunkStream).
+func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 	defer telGeneratePhase.Start().Stop()
 	out := &trace.FlowTrace{}
 	perChunk := splitCounts(n, s.stats.ChunkSamples)
 	chunkRecs := make([][]trace.FlowRecord, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkRecs[i] = s.generateChunk(s.models[i], perChunk[i], label)
+		chunkRecs[i] = s.generateChunk(s.models[i], chunkStream(s.cfg, i, fresh), perChunk[i], label)
 	})
 	for _, recs := range chunkRecs {
 		out.Records = append(out.Records, recs...)
@@ -444,26 +467,22 @@ func (s *FlowSynthesizer) generate(n, label int) *trace.FlowTrace {
 	return out
 }
 
-// generateChunk fills one chunk's record budget. Samples are flows and
-// records per flow vary, so it generates flows until the budget is met —
-// always requesting whole generation lots (partial lots waste a forward
-// pass) and trimming the overshoot.
+// generateChunk fills one chunk's record budget from stream r (nil: the
+// model's own RNG). Samples are flows and records per flow vary, so it
+// generates flows until the budget is met — always requesting whole
+// generation lots (partial lots waste a forward pass) and trimming the
+// overshoot.
 // A pinned label (label >= 0) additionally stamps every emitted record
 // with that scenario, making the conditional slice authoritative.
-func (s *FlowSynthesizer) generateChunk(m *dgan.Model, budget, label int) []trace.FlowRecord {
+func (s *FlowSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget, label int) []trace.FlowRecord {
 	if budget <= 0 {
 		return nil
 	}
 	out := make([]trace.FlowRecord, 0, budget)
 	for budget > 0 {
-		var batch []dgan.Sample
-		if label >= 0 {
-			// The label was range-checked by GenerateLabeled and the model
-			// was trained conditionally, so this cannot fail.
-			batch, _ = m.GenerateLabeled(fullLots(budget, m.Config.Batch), label)
-		} else {
-			batch = m.Generate(fullLots(budget, m.Config.Batch))
-		}
+		// The label was range-checked by checkLabel and the model was
+		// trained conditionally, so this cannot fail.
+		batch, _ := m.GenerateFrom(r, fullLots(budget, m.Config.Batch), label)
 		if len(batch) == 0 {
 			return out
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/datasets"
@@ -103,8 +104,7 @@ func TestPacketGenerateGolden(t *testing.T) {
 }
 
 // TestDecodeTuplesMatchesPerSample: the batched tuple decode (one matmul per
-// kind plus the exact-hit cache) must agree with the per-sample decodeMeta
-// path on every field.
+// kind) must agree with the per-sample decodeMeta path on every field.
 func TestDecodeTuplesMatchesPerSample(t *testing.T) {
 	public := datasets.CAIDAChicago(1500, 41)
 	cfg := testConfig()
@@ -115,8 +115,7 @@ func TestDecodeTuplesMatchesPerSample(t *testing.T) {
 	codec := newFlowCodec(cfg, pe, datasets.UGR16(200, 42))
 
 	// Encode real tuples, perturb the embeddings slightly so the decode has
-	// to do a genuine nearest-neighbour search, and duplicate some rows to
-	// exercise the exact-hit cache.
+	// to do a genuine nearest-neighbour search, and duplicate some rows.
 	real := datasets.UGR16(120, 43)
 	var samples []dgan.Sample
 	for _, r := range real.Records {
@@ -137,10 +136,10 @@ func TestDecodeTuplesMatchesPerSample(t *testing.T) {
 			t.Fatalf("sample %d: batched %+v != per-sample %+v", i, tuples[i], want)
 		}
 	}
-	// A second pass must hit the cache and still agree.
+	// A second pass must agree.
 	again := decodeTuples(codec.embed, codec.ipEmbed, samples)
 	if !reflect.DeepEqual(tuples, again) {
-		t.Fatal("cached decode pass diverges")
+		t.Fatal("second decode pass diverges")
 	}
 }
 
@@ -170,7 +169,7 @@ func TestDecodeEmptyKindFallbacks(t *testing.T) {
 	if got := pe.decodeProto(v); got != trace.TCP {
 		t.Fatalf("empty proto vocabulary decoded to %v, want TCP", got)
 	}
-	protos := pe.decodeKindBatch(ip2vec.KindProto, protoCacheKind, [][]float64{v, v}, uint32(trace.TCP))
+	protos := pe.decodeKindBatch(ip2vec.KindProto, [][]float64{v, v}, uint32(trace.TCP))
 	for _, p := range protos {
 		if trace.Protocol(p) != trace.TCP {
 			t.Fatalf("batched empty-proto decode = %v, want TCP", p)
@@ -197,5 +196,116 @@ func TestFullLots(t *testing.T) {
 	}
 	if got := fullLots(32, 16); got%16 != 0 || got < 16 {
 		t.Fatalf("fullLots(32, 16) = %d, want a lot multiple", got)
+	}
+}
+
+// TestGenerateFreshMatchesFreshLoad pins the stateless generate the web
+// API serves from one cached synthesizer: every call, concurrent or not,
+// equals the first Generate/GenerateLabeled of a freshly loaded copy, and
+// it never advances the synthesizer's own generation streams.
+func TestGenerateFreshMatchesFreshLoad(t *testing.T) {
+	// Bitwise equality needs no trained quality, only a conditional model
+	// with several catalog labels, so a few steps suffice.
+	cfg := condTestConfig()
+	cfg.SeedSteps, cfg.FineTuneSteps = 20, 5
+	flow, err := TrainFlowSynthesizer(labeledTrace(300, 11), datasets.CAIDAChicago(1200, 12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pkt := trainedSynthesizers(t)
+	var flowBuf, pktBuf bytes.Buffer
+	if err := flow.Save(&flowBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := pkt.Save(&pktBuf); err != nil {
+		t.Fatal(err)
+	}
+	loadFlow := func() *FlowSynthesizer {
+		s, err := LoadFlowSynthesizer(bytes.NewReader(flowBuf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	loadPacket := func() *PacketSynthesizer {
+		s, err := LoadPacketSynthesizer(bytes.NewReader(pktBuf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	catalog := flow.LabelCatalog()
+	type flowCase struct{ n, label int }
+	var flowCases []flowCase
+	for _, n := range []int{37, 400} {
+		for _, label := range []int{-1, int(catalog[0]), int(catalog[1])} {
+			flowCases = append(flowCases, flowCase{n, label})
+		}
+	}
+	flowWant := make([]*trace.FlowTrace, len(flowCases))
+	for i, c := range flowCases {
+		ref := loadFlow()
+		if c.label < 0 {
+			flowWant[i] = ref.Generate(c.n)
+		} else if flowWant[i], err = ref.GenerateLabeled(c.n, trace.Label(c.label)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pktCounts := []int{37, 400}
+	pktWant := make([]*trace.PacketTrace, len(pktCounts))
+	for i, n := range pktCounts {
+		pktWant[i] = loadPacket().Generate(n)
+	}
+
+	// The trained synthesizers have already generated (their own streams
+	// have advanced), and every case runs twice at once on the one shared
+	// synthesizer.
+	flow.Generate(50)
+	pkt.Generate(50)
+	var wg sync.WaitGroup
+	for rep := 0; rep < 2; rep++ {
+		for i, c := range flowCases {
+			wg.Add(1)
+			go func(i int, c flowCase) {
+				defer wg.Done()
+				got, err := flow.GenerateFresh(c.n, c.label)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, flowWant[i]) {
+					t.Errorf("flow GenerateFresh(%d, %d) differs from a fresh load", c.n, c.label)
+				}
+			}(i, c)
+		}
+		for i, n := range pktCounts {
+			wg.Add(1)
+			go func(i, n int) {
+				defer wg.Done()
+				if got := pkt.GenerateFresh(n); !reflect.DeepEqual(got, pktWant[i]) {
+					t.Errorf("packet GenerateFresh(%d) differs from a fresh load", n)
+				}
+			}(i, n)
+		}
+	}
+	wg.Wait()
+
+	// GenerateFresh leaves the canonical streams untouched: a loaded copy
+	// still emits its first-load trace from Generate afterwards.
+	ref := loadFlow()
+	if _, err := ref.GenerateFresh(200, -1); err != nil {
+		t.Fatal(err)
+	}
+	if got := ref.Generate(flowCases[0].n); !reflect.DeepEqual(got, flowWant[0]) {
+		t.Fatal("GenerateFresh advanced the synthesizer's own generation streams")
+	}
+
+	if _, err := flow.GenerateFresh(10, int(trace.NumLabels)); err == nil {
+		t.Fatal("out-of-range label must fail")
+	}
+	plain, _ := trainedSynthesizers(t)
+	if _, err := plain.GenerateFresh(10, int(trace.DoS)); err == nil {
+		t.Fatal("a label on an unconditional model must fail")
 	}
 }

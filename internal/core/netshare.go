@@ -19,9 +19,9 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dgan"
@@ -255,11 +255,6 @@ type portEmbedding struct {
 	dim   int
 	norms []encoding.MinMax
 	ports []ip2vec.Word // sorted port vocabulary for numeric fallback
-
-	// Exact-hit decode cache (decode.go): raw generator row → word value.
-	// Values are deterministic, so concurrent access cannot change results.
-	cache    sync.Map
-	cacheLen atomic.Int64
 }
 
 // newPortEmbedding trains IP2Vec on a public packet trace (the paper uses a
@@ -343,16 +338,12 @@ func sortedPorts(model *ip2vec.Model) []ip2vec.Word {
 // nearest-neighbour search over the public dictionary. An empty port
 // vocabulary falls back to fallbackPort rather than fabricating a word.
 func (pe *portEmbedding) decodePort(v []float64) uint16 {
-	if cached, ok := pe.cached(portCacheKind, v); ok {
-		return uint16(cached)
-	}
 	raw := make([]float64, pe.dim)
 	pe.invertInto(raw, v)
 	w, ok := pe.model.Nearest(ip2vec.KindPort, raw)
 	if !ok {
 		return pe.fallbackPort()
 	}
-	pe.storeCached(portCacheKind, v, w.Value)
 	return uint16(w.Value)
 }
 
@@ -373,16 +364,12 @@ func (pe *portEmbedding) encodeProto(p trace.Protocol) []float64 {
 // decodeProto maps a normalized embedding back to a protocol; an empty
 // protocol vocabulary falls back to TCP.
 func (pe *portEmbedding) decodeProto(v []float64) trace.Protocol {
-	if cached, ok := pe.cached(protoCacheKind, v); ok {
-		return trace.Protocol(cached)
-	}
 	raw := make([]float64, pe.dim)
 	pe.invertInto(raw, v)
 	w, ok := pe.model.Nearest(ip2vec.KindProto, raw)
 	if !ok {
 		return trace.TCP
 	}
-	pe.storeCached(protoCacheKind, v, w.Value)
 	return trace.Protocol(w.Value)
 }
 
@@ -587,7 +574,7 @@ func trainChunks(cfg Config, ganCfg dgan.Config, chunkSamples [][]dgan.Sample, p
 		// checkpoint (fresh RNG), generation afterwards draws from the
 		// same derived stream — resumed and uninterrupted runs emit
 		// bitwise-identical traces.
-		models[i].Reseed(rng.Derive(cfg.Seed, genStream+int64(i)))
+		models[i].Reseed(genSeed(cfg, i))
 		st.CPUTime += res.ChunkTime[i]
 	}
 	st.SeedTime = res.SeedTime
@@ -606,6 +593,22 @@ const (
 	dpNoiseStream = 1 << 32
 	genStream     = 1 << 33
 )
+
+// genSeed is chunk i's canonical generation seed: trainChunks, the
+// distributed plan and the loaders all reseed chunk model i with it, so
+// the first trace generated after training equals the first after Load.
+func genSeed(cfg Config, i int) int64 { return rng.Derive(cfg.Seed, genStream+int64(i)) }
+
+// chunkStream returns the stream chunk i generates from: nil (the chunk
+// model's own RNG, which advances per call) or, when fresh, a new copy of
+// the canonical stream genSeed seeds, which makes the output equal to the
+// first generate after a load.
+func chunkStream(cfg Config, i int, fresh bool) *rand.Rand {
+	if !fresh {
+		return nil
+	}
+	return rng.New(genSeed(cfg, i))
+}
 
 func maxInt(a, b int) int {
 	if a > b {
@@ -626,9 +629,9 @@ func fullLots(budget, lot int) int {
 
 // forEachChunk runs fn(i) for every chunk index, concurrently when the
 // configuration enables parallelism and there is more than one chunk. Each
-// fn must touch only chunk i's state (plus data that is safe to share, like
-// the decode cache, whose values are deterministic), which is what keeps
-// parallel and serial generation byte-identical.
+// fn must touch only chunk i's state (plus read-only shared data, like the
+// fitted codec), which is what keeps parallel and serial generation
+// byte-identical.
 func forEachChunk(cfg Config, n int, fn func(int)) {
 	if !cfg.Parallel || cfg.Parallelism == 1 || n <= 1 {
 		for i := 0; i < n; i++ {

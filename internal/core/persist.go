@@ -11,7 +11,6 @@ import (
 	"repro/internal/dgan"
 	"repro/internal/encoding"
 	"repro/internal/ip2vec"
-	"repro/internal/rng"
 )
 
 // Model persistence: a trained synthesizer (chunk models, port embedding,
@@ -243,7 +242,7 @@ func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 		}
 		// Same canonical generation stream as trainChunks, so a loaded
 		// model's first Generate matches the freshly trained one's.
-		m.Reseed(rng.Derive(wire.Config.Seed, genStream+int64(i)))
+		m.Reseed(genSeed(wire.Config, i))
 		s.models = append(s.models, m)
 	}
 	return s, nil
@@ -316,7 +315,7 @@ func LoadPacketSynthesizer(r io.Reader) (*PacketSynthesizer, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Reseed(rng.Derive(wire.Config.Seed, genStream+int64(i)))
+		m.Reseed(genSeed(wire.Config, i))
 		s.models = append(s.models, m)
 	}
 	return s, nil

@@ -115,7 +115,7 @@ func (p *chunkPlan) assemble(encoded [][]byte) ([]*dgan.Model, Stats, error) {
 		if err != nil {
 			return nil, st, fmt.Errorf("core: decode chunk %d model: %w", i, err)
 		}
-		m.Reseed(rng.Derive(p.cfg.Seed, genStream+int64(i)))
+		m.Reseed(genSeed(p.cfg, i))
 		m.SetParallelism(p.cfg.Parallelism)
 		models[i] = m
 	}

@@ -15,10 +15,6 @@ var (
 	telTrainPhase    = telemetry.Default.Timer("core.train.phase")
 	telGeneratePhase = telemetry.Default.Timer("core.generate.phase")
 	telEpsilon       = telemetry.Default.Gauge("core.train.dp_epsilon")
-
-	telDecodeCacheHits   = telemetry.Default.Counter("core.decode.cache.hits")
-	telDecodeCacheMisses = telemetry.Default.Counter("core.decode.cache.misses")
-	telDecodeCacheSkips  = telemetry.Default.Counter("core.decode.cache.cap_skips")
 )
 
 // chunkSeries returns the per-chunk loss/grad-norm/ε curves, named

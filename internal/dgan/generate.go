@@ -17,7 +17,9 @@ import (
 // Config.Parallelism setting — lots simply run on more or fewer goroutines.
 // Generate advances the model's canonical RNG by exactly one draw per call
 // regardless of n or worker count, keeping generation streams aligned across
-// train/save/load (DESIGN.md §8).
+// train/save/load (DESIGN.md §8). GenerateFrom can take that draw from a
+// caller-supplied stream instead, leaving the model's RNG untouched so
+// concurrent callers may share one model.
 
 // genScratch is one worker's reusable forward state: noise, GRU input and
 // hidden buffers, the projected step output, and the per-row liveness mask.
@@ -68,34 +70,59 @@ func (sc *genScratch) ensure(batch, noiseDim, condW, metaW, hidden, featW int) {
 // On conditional models each sample's scenario label is drawn from the
 // fitted training distribution (a mixture over the label catalog).
 func (m *Model) Generate(n int) []Sample {
-	return m.generate(n, -1)
+	return m.generate(m.rng, n, -1)
 }
 
 // GenerateLabeled produces n synthetic samples all conditioned on the
 // given scenario label. It fails on unconditional models and out-of-range
 // labels.
 func (m *Model) GenerateLabeled(n, label int) ([]Sample, error) {
+	if err := m.checkLabel(label); err != nil {
+		return nil, err
+	}
+	return m.generate(m.rng, n, label), nil
+}
+
+// GenerateFrom is Generate (label -1) or GenerateLabeled (label >= 0) with
+// the lot-stream base drawn from r rather than the model's own RNG; a nil r
+// draws from the model's RNG, exactly as Generate/GenerateLabeled do. With
+// a non-nil r the model is only read, so concurrent calls on one model are
+// safe as long as each passes its own r; the output equals what
+// Generate/GenerateLabeled emit when the model's RNG is in r's state.
+func (m *Model) GenerateFrom(r *rand.Rand, n, label int) ([]Sample, error) {
+	if r == nil {
+		r = m.rng
+	}
+	if label >= 0 {
+		if err := m.checkLabel(label); err != nil {
+			return nil, err
+		}
+	}
+	return m.generate(r, n, label), nil
+}
+
+func (m *Model) checkLabel(label int) error {
 	if m.condW == 0 {
-		return nil, fmt.Errorf("dgan: GenerateLabeled on an unconditional model")
+		return fmt.Errorf("dgan: GenerateLabeled on an unconditional model")
 	}
 	if label < 0 || label >= m.condW {
-		return nil, fmt.Errorf("dgan: label %d out of range 0..%d", label, m.condW-1)
+		return fmt.Errorf("dgan: label %d out of range 0..%d", label, m.condW-1)
 	}
-	return m.generate(n, label), nil
+	return nil
 }
 
 // generate is the shared lot fan-out; label -1 draws per-sample labels
 // from the fitted distribution, label >= 0 pins every sample's label (and
 // takes no label draws, so pinned lots consume the same noise stream
 // layout minus the per-row label uniforms).
-func (m *Model) generate(n, label int) []Sample {
+func (m *Model) generate(r *rand.Rand, n, label int) []Sample {
 	if n <= 0 {
 		return nil
 	}
-	// The lot-stream base is the single draw Generate takes from the model's
-	// canonical RNG: repeated calls stay aligned across parallelism levels
-	// and across a save/load round trip.
-	base := m.rng.Int63()
+	// The lot-stream base is the single draw taken from r (the model's
+	// canonical RNG for Generate): repeated calls stay aligned across
+	// parallelism levels and across a save/load round trip.
+	base := r.Int63()
 	lot := m.Config.Batch
 	numLots := (n + lot - 1) / lot
 	out := make([]Sample, n)

@@ -25,8 +25,8 @@ type InferModel struct {
 	MetaSchema    []nn.FieldSpec
 	FeatureSchema []nn.FieldSpec // without the presence flag
 	MaxLen        int
-	NoiseDim     int
-	Hidden       int
+	NoiseDim      int
+	Hidden        int
 	// Labels is the scenario-conditioning one-hot width (0 =
 	// unconditional); LabelWeights is the fitted training distribution
 	// unconditional mixture draws use.

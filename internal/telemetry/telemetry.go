@@ -16,7 +16,7 @@
 //
 // Naming scheme: lowercase dotted paths `<package>.<subsystem>.<metric>`,
 // with per-chunk series suffixed `.chunkN` (e.g. `core.train.chunk0.
-// critic_loss`, `dgan.generate.lots`, `core.decode.cache.hits`).
+// critic_loss`, `dgan.generate.lots`, `webapi.model.cache.hits`).
 package telemetry
 
 import (

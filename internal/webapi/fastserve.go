@@ -10,41 +10,50 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// Fast serving (DESIGN.md §11): POST /api/v1/models/{name}/generate with
-// "fast": true routes through a float32 inference snapshot instead of
-// loading a fresh float64 synthesizer per request. Two mechanisms make it
-// fast under load:
+// Model entries and fast serving (DESIGN.md §10–11). Every stored model a
+// generate request touches is decoded once into a cached entry keyed by
+// model name and manifest checksum, and both generate paths serve from it:
 //
-//   - an LRU cache of decoded snapshots in front of the registry, so the
-//     container is read and decoded once per model, not once per request;
-//   - a cross-request batch scheduler: concurrent generate calls for the
-//     same model coalesce into ONE batched forward fan-out
-//     (core.Fast*Synthesizer.GenerateBatch), each request receiving its
-//     proportional per-chunk share.
+//   - the default path calls the entry's float64 synthesizer's
+//     GenerateFresh, which draws from new copies of the canonical chunk
+//     streams per request, so the bytes equal what a freshly loaded model
+//     would emit and requests may run concurrently on the one synthesizer;
+//   - "fast": true routes through a float32 snapshot, built from that same
+//     synthesizer on first fast use, and a cross-request batch scheduler:
+//     concurrent generate calls for the same model coalesce into ONE
+//     batched forward fan-out (core.Fast*Synthesizer.GenerateBatch), each
+//     request receiving its proportional per-chunk share.
 //
-// The default (non-fast) path is untouched and keeps its contract: a fresh
-// synthesizer per request, bitwise-deterministic output. The fast path
-// trades that for throughput — a cached snapshot's RNG advances across
+// The handler still reads and CRC-checks the container through the
+// registry on every request; only a checksum the entry does not match
+// (a new or overwritten model) decodes. The fast path trades the bitwise
+// contract for throughput — a cached snapshot's RNG advances across
 // requests, so responses depend on request ordering; only the output
 // DISTRIBUTION is pinned (internal/conformance). Models stored as fast
-// containers (flow-fast / packet-fast kinds) always serve via this path:
-// they carry no float64 weights to be deterministic with.
+// containers (flow-fast / packet-fast kinds) always serve via the fast
+// path: they carry no float64 weights to be deterministic with.
 
-// Pre-registered telemetry handles for the fast path.
+// Pre-registered telemetry handles for the entry cache and the fast path.
+// webapi.model.cache.* counts every generate request's entry lookup (a
+// miss is a container decode); webapi.fast.cache.* counts the fast-path
+// requests among them.
 var (
-	telFastBatches   = telemetry.Default.Counter("webapi.fast.batches")
-	telFastRequests  = telemetry.Default.Counter("webapi.fast.requests")
-	telFastCacheHits = telemetry.Default.Counter("webapi.fast.cache.hits")
-	telFastCacheMiss = telemetry.Default.Counter("webapi.fast.cache.misses")
-	telFastPanics    = telemetry.Default.Counter("webapi.fast.panics")
+	telModelCacheHits = telemetry.Default.Counter("webapi.model.cache.hits")
+	telModelCacheMiss = telemetry.Default.Counter("webapi.model.cache.misses")
+	telFastBatches    = telemetry.Default.Counter("webapi.fast.batches")
+	telFastRequests   = telemetry.Default.Counter("webapi.fast.requests")
+	telFastCacheHits  = telemetry.Default.Counter("webapi.fast.cache.hits")
+	telFastCacheMiss  = telemetry.Default.Counter("webapi.fast.cache.misses")
+	telFastPanics     = telemetry.Default.Counter("webapi.fast.panics")
 )
 
-// defaultFastCacheCap bounds the decoded-snapshot LRU when the server
-// does not override FastCacheCap.
+// defaultFastCacheCap bounds the model-entry LRU when the server does not
+// override FastCacheCap.
 const defaultFastCacheCap = 8
 
 // errFastEvicted fails waiters stranded when a registry sweep drops
@@ -65,12 +74,24 @@ type fastWait struct {
 	done  chan struct{}
 }
 
-// fastEntry is one model's cached snapshot plus its batch scheduler state.
-// Exactly one of flow/pkt is set.
+// fastEntry is one stored model's cached decode plus its fast-path batch
+// scheduler state. For reference containers ref* holds the decoded float64
+// synthesizer and the float32 snapshot is built from it on first fast use;
+// fast containers decode straight into the snapshot. Exactly one of
+// flow/pkt is set once snapshot has run.
 type fastEntry struct {
 	name string
-	flow *core.FastFlowSynthesizer
-	pkt  *core.FastPacketSynthesizer
+	// sum is the manifest checksum of the container the entry was decoded
+	// from; a request whose registry read returns another checksum (the
+	// model was overwritten) decodes a new entry.
+	sum uint32
+
+	refFlow *core.FlowSynthesizer
+	refPkt  *core.PacketSynthesizer
+
+	snapOnce sync.Once
+	flow     *core.FastFlowSynthesizer
+	pkt      *core.FastPacketSynthesizer
 
 	mu      sync.Mutex
 	pending []*fastWait
@@ -79,6 +100,20 @@ type fastEntry struct {
 	// waiters and has been evicted, so the next request decodes a fresh
 	// snapshot instead of reusing corrupt in-memory state.
 	dead bool
+}
+
+// snapshot builds the float32 snapshot from the float64 synthesizer on
+// first use (a no-op for fast containers). Every fast request calls it
+// before enqueueing, so the batch runner always sees flow/pkt set.
+func (e *fastEntry) snapshot() {
+	e.snapOnce.Do(func() {
+		switch {
+		case e.refFlow != nil:
+			e.flow = e.refFlow.Fast()
+		case e.refPkt != nil:
+			e.pkt = e.refPkt.Fast()
+		}
+	})
 }
 
 // fastState initializes the LRU lazily under s.fastMu.
@@ -97,8 +132,8 @@ func (s *Server) fastCap() int {
 	return defaultFastCacheCap
 }
 
-// lookupFast returns the cached entry for name, refreshing its LRU
-// position, or nil on miss.
+// lookupFast returns the cached entry for name, whatever its checksum,
+// refreshing its LRU position, or nil on miss.
 func (s *Server) lookupFast(name string) *fastEntry {
 	s.fastMu.Lock()
 	defer s.fastMu.Unlock()
@@ -111,16 +146,22 @@ func (s *Server) lookupFast(name string) *fastEntry {
 	return el.Value.(*fastEntry)
 }
 
-// insertFast caches entry, evicting the least-recently-used snapshot past
-// capacity. If another goroutine inserted the same name first, that entry
-// wins and is returned — both requests then coalesce on one scheduler.
+// insertFast caches entry, replacing any entry for the same name with
+// another checksum and evicting the least-recently-used entry past
+// capacity. If another goroutine inserted the same (name, checksum) first,
+// that entry wins and is returned — both requests then share one decode
+// and coalesce on one scheduler. A replaced entry is only dropped from the
+// cache: requests already holding it finish from it.
 func (s *Server) insertFast(entry *fastEntry) *fastEntry {
 	s.fastMu.Lock()
 	defer s.fastMu.Unlock()
 	s.fastState()
 	if el, ok := s.fastCache[entry.name]; ok {
-		s.fastLRU.MoveToFront(el)
-		return el.Value.(*fastEntry)
+		if old := el.Value.(*fastEntry); old.sum == entry.sum {
+			s.fastLRU.MoveToFront(el)
+			return old
+		}
+		s.fastLRU.Remove(el)
 	}
 	s.fastCache[entry.name] = s.fastLRU.PushFront(entry)
 	for s.fastLRU.Len() > s.fastCap() {
@@ -143,61 +184,61 @@ func (s *Server) evictFast(entry *fastEntry) {
 	}
 }
 
-// loadFastEntry decodes a snapshot for name from the registry's stored
-// container: fast containers decode directly; reference containers load
-// the float64 synthesizer and snapshot it.
-func (s *Server) loadFastEntry(name string) (*fastEntry, int, error) {
-	reg := s.registry()
-	framed, info, err := reg.ModelBytes(name)
-	if err != nil {
-		return nil, http.StatusNotFound, fmt.Errorf("model %q: %w", name, err)
+// modelEntry returns the cached entry for the container the registry just
+// returned (framed, info), decoding framed on a miss; hit reports whether
+// the entry was already cached.
+func (s *Server) modelEntry(name string, framed []byte, info registry.ModelInfo) (entry *fastEntry, hit bool, err error) {
+	if e := s.lookupFast(name); e != nil && e.sum == info.Checksum {
+		telModelCacheHits.Inc()
+		return e, true, nil
 	}
-	entry := &fastEntry{name: name}
+	telModelCacheMiss.Inc()
+	entry = &fastEntry{name: name, sum: info.Checksum}
+	r := bytes.NewReader(framed)
 	switch info.Kind {
 	case "flow":
-		syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
-		entry.flow = syn.Fast()
+		entry.refFlow, err = core.LoadFlowSynthesizer(r)
 	case "flow-fast":
-		if entry.flow, err = core.LoadFastFlowSynthesizer(bytes.NewReader(framed)); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
+		entry.flow, err = core.LoadFastFlowSynthesizer(r)
 	case "packet":
-		syn, err := core.LoadPacketSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
-		entry.pkt = syn.Fast()
+		entry.refPkt, err = core.LoadPacketSynthesizer(r)
 	case "packet-fast":
-		if entry.pkt, err = core.LoadFastPacketSynthesizer(bytes.NewReader(framed)); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load model %q: %w", name, err)
-		}
+		entry.pkt, err = core.LoadFastPacketSynthesizer(r)
 	default:
-		return nil, http.StatusInternalServerError, fmt.Errorf("model %q has unknown kind %q", name, info.Kind)
+		return nil, false, fmt.Errorf("model %q has unknown kind %q", name, info.Kind)
 	}
-	return entry, 0, nil
+	if err != nil {
+		return nil, false, fmt.Errorf("load model %q: %w", name, err)
+	}
+	return s.insertFast(entry), false, nil
 }
 
 // serveFastGenerate handles one fast-path generate request end to end:
-// snapshot lookup/decode, batch enqueue, wait, encode. label is the
-// parsed scenario label (-1 for the unconditional mixture).
-func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req GenerateRequest, label int) {
+// snapshot, batch enqueue, wait, encode. entry and hit come from the
+// handler's modelEntry call; label is the parsed scenario label (-1 for
+// the unconditional mixture).
+func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, entry *fastEntry, hit bool, req GenerateRequest, label int) {
 	telFastRequests.Inc()
 	for {
-		entry := s.lookupFast(name)
 		if entry == nil {
-			telFastCacheMiss.Inc()
-			loaded, code, err := s.loadFastEntry(name)
+			// Retrying after the entry died: read the registry again, so a
+			// deleted model is a clean 404.
+			framed, info, err := s.registry().ModelBytes(name)
 			if err != nil {
-				writeError(w, code, "%v", err)
+				writeError(w, http.StatusNotFound, "model %q: %v", name, err)
 				return
 			}
-			entry = s.insertFast(loaded)
-		} else {
-			telFastCacheHits.Inc()
+			if entry, hit, err = s.modelEntry(name, framed, info); err != nil {
+				writeError(w, http.StatusInternalServerError, "%v", err)
+				return
+			}
 		}
+		if hit {
+			telFastCacheHits.Inc()
+		} else {
+			telFastCacheMiss.Inc()
+		}
+		entry.snapshot()
 		if label >= 0 {
 			// Kind was validated upstream; conditioning is a property of the
 			// decoded snapshot, so it is checked here.
@@ -217,6 +258,7 @@ func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req Gener
 			// Poisoned between lookup and enqueue; retry with a fresh
 			// snapshot (the panicking runner already evicted this one).
 			entry.mu.Unlock()
+			entry = nil
 			continue
 		}
 		entry.pending = append(entry.pending, wait)
@@ -237,6 +279,7 @@ func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, req Gener
 			// A registry sweep dropped the snapshot while this request was
 			// queued; retry against the registry so the response is either a
 			// fresh complete trace or a clean 404 — never a partial result.
+			entry = nil
 			continue
 		}
 		if wait.err != nil {
@@ -410,7 +453,7 @@ func writeAttachment(w http.ResponseWriter, name, contentType, ext string, body 
 	return true
 }
 
-// sweepFastCache drops every cached snapshot whose model keep rejects.
+// sweepFastCache drops every cached entry whose model keep rejects.
 // Each dropped entry is marked dead first (so no new waiter can join it)
 // and its queued-but-unbatched waiters fail with the retryable
 // errFastEvicted; a batch already in flight completes from the in-memory

@@ -56,7 +56,9 @@ type RecoveryStats struct {
 // persisted state: a garbage-collection sweep first (so recovery only
 // trusts validated entries), then every terminal job record is loaded
 // back into the job table. Call it once, before Handler is serving
-// traffic. Models remain on disk and are loaded per generation request.
+// traffic. Models remain on disk: each generate request re-reads and
+// verifies its container, and a container is decoded once into the
+// server's model-entry cache (fastserve.go).
 func (s *Server) UseRegistry(reg *registry.Registry) (RecoveryStats, error) {
 	var stats RecoveryStats
 	rep, err := reg.Sweep()
@@ -225,11 +227,14 @@ type GenerateRequest struct {
 	Fast bool `json:"fast,omitempty"`
 }
 
-// handleModelGenerate serves generation straight from a stored model:
-// the container is loaded and validated from disk and a fresh
-// synthesizer generates the requested count. Loading fresh per request
-// makes serving stateless and deterministic — the same model and count
-// always produce bitwise-identical output, before and after a restart.
+// handleModelGenerate serves generation straight from a stored model. The
+// container is read and validated through the registry on every request
+// (a deleted model is a 404, a corrupt one a 404 or 500), then served from
+// the model's cached entry (fastserve.go), decoded once per (name,
+// checksum). The default path calls the decoded synthesizer's
+// GenerateFresh, which starts every request from the canonical generation
+// streams: the same model, count and label always produce the bytes a
+// freshly loaded model would, before and after a restart.
 func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 	reg := s.registry()
 	if reg == nil {
@@ -272,43 +277,30 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "label %q: model %q is a packet model; labeled generation is flow-only", req.Label, name)
 		return
 	}
+	entry, hit, err := s.modelEntry(name, framed, info)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	if req.Fast || isFastKind(info.Kind) {
-		s.serveFastGenerate(w, name, req, label)
+		s.serveFastGenerate(w, name, entry, hit, req, label)
 		return
 	}
 
-	served := false
-	switch info.Kind {
-	case "flow":
-		syn, err := core.LoadFlowSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load model %q: %v", name, err)
+	var served bool
+	if syn := entry.refFlow; syn != nil {
+		if label >= 0 && !syn.Conditional() {
+			writeError(w, http.StatusBadRequest, "label %q: model %q was not trained with scenario conditioning", req.Label, name)
 			return
 		}
-		var gen *trace.FlowTrace
-		if label >= 0 {
-			if !syn.Conditional() {
-				writeError(w, http.StatusBadRequest, "label %q: model %q was not trained with scenario conditioning", req.Label, name)
-				return
-			}
-			if gen, err = syn.GenerateLabeled(req.Count, trace.Label(label)); err != nil {
-				writeError(w, http.StatusInternalServerError, "labeled generation for model %q: %v", name, err)
-				return
-			}
-		} else {
-			gen = syn.Generate(req.Count)
+		gen, err := syn.GenerateFresh(req.Count, label)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "labeled generation for model %q: %v", name, err)
+			return
 		}
 		served = writeFlowResult(w, name, req.Format, gen)
-	case "packet":
-		syn, err := core.LoadPacketSynthesizer(bytes.NewReader(framed))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load model %q: %v", name, err)
-			return
-		}
-		served = writePacketResult(w, name, req.Format, syn.Generate(req.Count))
-	default:
-		writeError(w, http.StatusInternalServerError, "model %q has unknown kind %q", name, info.Kind)
-		return
+	} else {
+		served = writePacketResult(w, name, req.Format, entry.refPkt.GenerateFresh(req.Count))
 	}
 	if served {
 		telModelsServed.Inc()

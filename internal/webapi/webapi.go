@@ -206,8 +206,9 @@ type Server struct {
 	// operation. Attach with UseRegistry before serving traffic.
 	reg *registry.Registry
 
-	// FastCacheCap bounds the fast path's decoded-snapshot LRU
-	// (fastserve.go); 0 selects the default. Set before serving traffic.
+	// FastCacheCap bounds the LRU of decoded model entries both generate
+	// paths serve from (fastserve.go); 0 selects the default. Set before
+	// serving traffic.
 	FastCacheCap int
 	fastMu       sync.Mutex
 	fastCache    map[string]*list.Element
