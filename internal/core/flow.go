@@ -460,6 +460,7 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 	forEachChunk(s.cfg, len(s.models), func(i int) {
 		chunkRecs[i] = s.generateChunk(s.models[i], chunkStream(s.cfg, i, fresh), perChunk[i], label)
 	})
+	out.Records = make([]trace.FlowRecord, 0, n)
 	for _, recs := range chunkRecs {
 		out.Records = append(out.Records, recs...)
 	}
@@ -471,7 +472,10 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 // model's own RNG). Samples are flows and records per flow vary, so it
 // generates flows until the budget is met — always requesting whole
 // generation lots (partial lots waste a forward pass) and trimming the
-// overshoot.
+// overshoot. Samples are decoded as GenerateEach delivers them, and
+// generation stops once the budget is met, so only a window of samples is
+// ever resident; the records are those a decode of the whole request
+// would emit.
 // A pinned label (label >= 0) additionally stamps every emitted record
 // with that scenario, making the conditional slice authoritative.
 func (s *FlowSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget, label int) []trace.FlowRecord {
@@ -482,23 +486,22 @@ func (s *FlowSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget, lab
 	for budget > 0 {
 		// The label was range-checked by checkLabel and the model was
 		// trained conditionally, so this cannot fail.
-		batch, _ := m.GenerateFrom(r, fullLots(budget, m.Config.Batch), label)
-		if len(batch) == 0 {
-			return out
-		}
-		tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
-		for bi, sample := range batch {
-			for _, r := range s.codec.decodeRecords(sample, tuples[bi]) {
-				if budget == 0 {
-					break
+		_ = m.GenerateEach(r, fullLots(budget, m.Config.Batch), label, func(batch []dgan.Sample) bool {
+			tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
+			for bi, sample := range batch {
+				for _, r := range s.codec.decodeRecords(sample, tuples[bi]) {
+					if budget == 0 {
+						return false
+					}
+					if label >= 0 {
+						r.Label = trace.Label(label)
+					}
+					out = append(out, r)
+					budget--
 				}
-				if label >= 0 {
-					r.Label = trace.Label(label)
-				}
-				out = append(out, r)
-				budget--
 			}
-		}
+			return budget > 0
+		})
 	}
 	return out
 }

@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -308,4 +313,76 @@ func TestGenerateFreshMatchesFreshLoad(t *testing.T) {
 	if _, err := plain.GenerateFresh(10, int(trace.DoS)); err == nil {
 		t.Fatal("a label on an unconditional model must fail")
 	}
+}
+
+// SHA-256 pins for TestGenerateOutputPinned. They change only when a change
+// alters trained weights or generated bytes on purpose; such a change
+// updates them and says so in CHANGES.md.
+const (
+	flowGoldenSHA256          = "1aacc4434212cf3bf38f8da57534fc08c2fa027ba975305448a380da051b4644"
+	packetGoldenSHA256        = "54b94fd0dc8f750be2194dabe8a0cadc2610269e4c564db8e279621072a4d638"
+	flowWeightsGoldenSHA256   = "0ddb5522d31327967f8abc800ddf0848f499ea475db657d21691edfb306811a1"
+	packetWeightsGoldenSHA256 = "d0114e79dc3d42c9a20b0b0dc79c2517c9b162b056f43d34c3b7f4368893e862"
+)
+
+// weightsSHA256 hashes the bits of every parameter of every chunk model.
+// Generated records are integers, so a last-bit change in training can
+// leave a short trace intact; the weights cannot hide it.
+func weightsSHA256(models []*dgan.Model) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, m := range models {
+		for _, p := range m.Params() {
+			for _, v := range p.W.Data {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestGenerateOutputPinned pins trained weights and generated bytes across
+// versions. The golden tests above compare a run only with itself (other
+// parallelism levels, a save/load round trip), so a kernel change that
+// alters rounding passes them; this test instead trains the testConfig flow
+// and packet synthesizers and asserts the SHA-256 of their weights and of
+// their first Generate(250) CSV. It runs on amd64 only: Go fuses
+// multiply-add on other architectures (arm64, ppc64le, s390x, riscv64),
+// which legitimately changes the bits.
+func TestGenerateOutputPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("output pins are recorded for amd64, not %s", runtime.GOARCH)
+	}
+	const n = 250
+	cfg := testConfig()
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s SHA-256 = %s, want %s", what, got, want)
+		}
+	}
+	csvSHA256 := func(write func(*bytes.Buffer) error) string {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	}
+
+	flow, err := TrainFlowSynthesizer(datasets.UGR16(300, 31), datasets.CAIDAChicago(1200, 32), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("flow weights", weightsSHA256(flow.models), flowWeightsGoldenSHA256)
+	ft := flow.Generate(n)
+	check("flow Generate(250)", csvSHA256(func(b *bytes.Buffer) error { return trace.WriteFlowCSV(b, ft) }), flowGoldenSHA256)
+
+	packet, err := TrainPacketSynthesizer(datasets.CAIDA(600, 33), datasets.CAIDAChicago(1200, 34), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("packet weights", weightsSHA256(packet.models), packetWeightsGoldenSHA256)
+	pt := packet.Generate(n)
+	check("packet Generate(250)", csvSHA256(func(b *bytes.Buffer) error { return trace.WritePacketCSV(b, pt) }), packetGoldenSHA256)
 }

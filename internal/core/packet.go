@@ -249,8 +249,8 @@ func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
 }
 
 // generateChunk fills one chunk's packet budget from stream r (nil: the
-// model's own RNG), requesting whole generation lots and trimming the
-// overshoot.
+// model's own RNG), requesting whole generation lots, decoding them as
+// GenerateEach delivers them and stopping once the budget is met.
 func (s *PacketSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget int) []*trace.PacketFlow {
 	if budget <= 0 {
 		return nil
@@ -258,19 +258,21 @@ func (s *PacketSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget in
 	var flows []*trace.PacketFlow
 	for budget > 0 {
 		// Unlabeled generation cannot fail.
-		batch, _ := m.GenerateFrom(r, fullLots(budget, m.Config.Batch), -1)
-		tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
-		for bi, sample := range batch {
-			f := s.codec.decodeFlow(sample, tuples[bi])
-			if len(f.Packets) > budget {
-				f.Packets = f.Packets[:budget]
+		_ = m.GenerateEach(r, fullLots(budget, m.Config.Batch), -1, func(batch []dgan.Sample) bool {
+			tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
+			for bi, sample := range batch {
+				f := s.codec.decodeFlow(sample, tuples[bi])
+				if len(f.Packets) > budget {
+					f.Packets = f.Packets[:budget]
+				}
+				budget -= len(f.Packets)
+				flows = append(flows, f)
+				if budget == 0 {
+					return false
+				}
 			}
-			budget -= len(f.Packets)
-			flows = append(flows, f)
-			if budget == 0 {
-				break
-			}
-		}
+			return true
+		})
 	}
 	return flows
 }

@@ -17,7 +17,7 @@ import (
 // Config.Parallelism setting — lots simply run on more or fewer goroutines.
 // Generate advances the model's canonical RNG by exactly one draw per call
 // regardless of n or worker count, keeping generation streams aligned across
-// train/save/load (DESIGN.md §8). GenerateFrom can take that draw from a
+// train/save/load (DESIGN.md §8). GenerateEach can take that draw from a
 // caller-supplied stream instead, leaving the model's RNG untouched so
 // concurrent callers may share one model.
 
@@ -83,24 +83,6 @@ func (m *Model) GenerateLabeled(n, label int) ([]Sample, error) {
 	return m.generate(m.rng, n, label), nil
 }
 
-// GenerateFrom is Generate (label -1) or GenerateLabeled (label >= 0) with
-// the lot-stream base drawn from r rather than the model's own RNG; a nil r
-// draws from the model's RNG, exactly as Generate/GenerateLabeled do. With
-// a non-nil r the model is only read, so concurrent calls on one model are
-// safe as long as each passes its own r; the output equals what
-// Generate/GenerateLabeled emit when the model's RNG is in r's state.
-func (m *Model) GenerateFrom(r *rand.Rand, n, label int) ([]Sample, error) {
-	if r == nil {
-		r = m.rng
-	}
-	if label >= 0 {
-		if err := m.checkLabel(label); err != nil {
-			return nil, err
-		}
-	}
-	return m.generate(r, n, label), nil
-}
-
 func (m *Model) checkLabel(label int) error {
 	if m.condW == 0 {
 		return fmt.Errorf("dgan: GenerateLabeled on an unconditional model")
@@ -111,9 +93,51 @@ func (m *Model) checkLabel(label int) error {
 	return nil
 }
 
-// generate is the shared lot fan-out; label -1 draws per-sample labels
-// from the fitted distribution, label >= 0 pins every sample's label (and
-// takes no label draws, so pinned lots consume the same noise stream
+// GenerateEach is Generate (label -1) or GenerateLabeled (label >= 0)
+// delivered in pieces, with the lot-base draw taken from r rather than the
+// model's RNG (a nil r draws from the model's RNG). It hands fn the samples
+// those calls would return with the model's RNG in r's state, in order, as
+// consecutive slices of whole lots (the last lot may be short), and stops
+// generating as soon as fn returns false.
+// Only one slice of at most eachLots lots per worker is resident at a time,
+// so a caller that decodes samples as they arrive holds that window instead
+// of all n samples; fn must not retain the slice or its samples, which
+// later slices reuse. With a non-nil r the model is only read, so
+// concurrent calls on one model are safe as long as each passes its own r.
+func (m *Model) GenerateEach(r *rand.Rand, n, label int, fn func([]Sample) bool) error {
+	if r == nil {
+		r = m.rng
+	}
+	if label >= 0 {
+		if err := m.checkLabel(label); err != nil {
+			return err
+		}
+	}
+	if n <= 0 {
+		return nil
+	}
+	base := r.Int63()
+	lot := m.Config.Batch
+	window := eachLots * m.Config.workers() * lot
+	buf := make([]Sample, min(window, n))
+	for lo := 0; lo < n; lo += window {
+		span := buf[:min(window, n-lo)]
+		m.fillLots(base, lo/lot, span, label)
+		if !fn(span) {
+			break
+		}
+	}
+	return nil
+}
+
+// eachLots is the number of lots per worker GenerateEach generates between
+// calls to its consumer: enough to amortize the fan-out, few enough that
+// the window stays small.
+const eachLots = 16
+
+// generate is the shared whole-output path; label -1 draws per-sample
+// labels from the fitted distribution, label >= 0 pins every sample's label
+// (and takes no label draws, so pinned lots consume the same noise stream
 // layout minus the per-row label uniforms).
 func (m *Model) generate(r *rand.Rand, n, label int) []Sample {
 	if n <= 0 {
@@ -123,9 +147,20 @@ func (m *Model) generate(r *rand.Rand, n, label int) []Sample {
 	// canonical RNG for Generate): repeated calls stay aligned across
 	// parallelism levels and across a save/load round trip.
 	base := r.Int63()
+	out := make([]Sample, n)
+	m.fillLots(base, 0, out, label)
+	return out
+}
+
+// fillLots is the lot fan-out: it fills out with consecutive lots of the
+// stream based at base, the first of them lot index first, spread across
+// the configured workers. A lot's content depends only on (weights, base,
+// lot index), so the result is the same for any worker count and for any
+// way a caller slices the lot sequence.
+func (m *Model) fillLots(base int64, first int, out []Sample, label int) {
+	n := len(out)
 	lot := m.Config.Batch
 	numLots := (n + lot - 1) / lot
-	out := make([]Sample, n)
 	schema := m.featSchema()
 
 	runSpan := func(loLot, hiLot int) {
@@ -133,22 +168,16 @@ func (m *Model) generate(r *rand.Rand, n, label int) []Sample {
 		defer m.putGenScratch(sc)
 		for j := loLot; j < hiLot; j++ {
 			lo := j * lot
-			hi := lo + lot
-			if hi > n {
-				hi = n
-			}
-			r := rng.New(rng.Derive(base, int64(j)))
+			hi := min(lo+lot, n)
+			r := rng.New(rng.Derive(base, int64(first+j)))
 			m.generateLot(r, out[lo:hi], schema, sc, label)
 		}
 	}
 
-	workers := m.Config.workers()
-	if workers > numLots {
-		workers = numLots
-	}
+	workers := min(m.Config.workers(), numLots)
 	if workers <= 1 {
 		runSpan(0, numLots)
-		return out
+		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -163,7 +192,6 @@ func (m *Model) generate(r *rand.Rand, n, label int) []Sample {
 		}(lo, hi)
 	}
 	wg.Wait()
-	return out
 }
 
 // generateLot fills out (one lot of samples) from r, the lot's private

@@ -102,6 +102,64 @@ func TestGenerateScratchReuseAcrossCalls(t *testing.T) {
 	}
 }
 
+// cloneSample deep-copies a sample, since GenerateEach reuses its buffers.
+func cloneSample(s Sample) Sample {
+	c := Sample{Meta: append([]float64(nil), s.Meta...), Label: s.Label}
+	for _, f := range s.Features {
+		c.Features = append(c.Features, append([]float64(nil), f...))
+	}
+	return c
+}
+
+// TestGenerateEachMatchesGenerate: the streamed path delivers exactly the
+// samples Generate returns, in order, in slices of whole lots spanning
+// several consumer windows (the last lot short), advances the model RNG by
+// the same single draw, and stops generating when the consumer says so.
+func TestGenerateEachMatchesGenerate(t *testing.T) {
+	const n = 700 // several windows at either worker count; 700 % 8 != 0
+	for _, p := range []int{1, 2} {
+		m := genTestModel(t, p)
+		m.Reseed(99)
+		want := m.Generate(n)
+		next := m.Rand().Int63()
+
+		m.Reseed(99)
+		var got []Sample
+		calls := 0
+		if err := m.GenerateEach(nil, n, -1, func(batch []Sample) bool {
+			calls++
+			if len(got)+len(batch) < n && len(batch)%m.Config.Batch != 0 {
+				t.Fatalf("parallelism %d: slice of %d samples is not whole lots", p, len(batch))
+			}
+			for _, s := range batch {
+				got = append(got, cloneSample(s))
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if calls < 2 {
+			t.Fatalf("parallelism %d: %d consumer calls, want several windows", p, calls)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: GenerateEach samples differ from Generate", p)
+		}
+		if m.Rand().Int63() != next {
+			t.Fatalf("parallelism %d: GenerateEach advanced the RNG differently from Generate", p)
+		}
+
+		m.Reseed(99)
+		calls = 0
+		_ = m.GenerateEach(nil, n, -1, func(batch []Sample) bool {
+			calls++
+			return false
+		})
+		if calls != 1 {
+			t.Fatalf("parallelism %d: consumer called %d times after asking to stop", p, calls)
+		}
+	}
+}
+
 func BenchmarkGenerate(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		b.Run(map[int]string{1: "serial", 4: "par4"}[p], func(b *testing.B) {

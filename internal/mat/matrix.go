@@ -118,24 +118,68 @@ func MulInto(dst, a, b *Matrix) {
 	mulRows(dst, a, b, 0, a.Rows)
 }
 
-// mulRows computes dst rows [lo, hi) of a·b with the ikj loop order:
-// it streams through b and dst rows sequentially. Each dst element
+// mulRows computes dst rows [lo, hi) of a·b in ikj order: row i of dst
+// accumulates a[i][k]·b[k] over the nonzero a[i][k]. Each dst element
 // accumulates over k in ascending order regardless of the row split, so
 // serial and parallel calls are bitwise identical.
 func mulRows(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range brow {
-				drow[j] += aik * brow[j]
-			}
+		accumRow(dst.Row(i), a.Row(i), 1, b)
+	}
+}
+
+// accumRow computes d += Σ_k c[k*stride]·b.Row(k) over the k in
+// [0, b.Rows) whose coefficient is nonzero, bitwise equal to the plain loop
+//
+//	for k := range b.Rows { if c_k != 0 { for j := range d { d[j] += c_k*b[k][j] } } }
+//
+// It collects the nonzero k four at a time and then makes one pass over d
+// that loads d[j], applies the four steps in ascending k and stores it, so
+// every element still takes one rounded multiply and one rounded add per
+// step, in the same order. Skipping zero coefficients (as the plain loop
+// does) keeps a zero next to an Inf in b from producing NaN. Each step is
+// its own `s += c*r[j]` statement, so on architectures where Go fuses
+// multiply-add the kernel fuses exactly where the plain loop does.
+func accumRow(d, c []float64, stride int, b *Matrix) {
+	var ks [4]int
+	n := 0
+	for k := 0; k < b.Rows; k++ {
+		if c[k*stride] == 0 {
+			continue
 		}
+		ks[n&3] = k
+		if n++; n == 4 {
+			k0, k1, k2, k3 := ks[0], ks[1], ks[2], ks[3]
+			axpy4(d, c[k0*stride], c[k1*stride], c[k2*stride], c[k3*stride],
+				b.Row(k0), b.Row(k1), b.Row(k2), b.Row(k3))
+			n = 0
+		}
+	}
+	for _, k := range ks[:n&3] {
+		axpy1(d, c[k*stride], b.Row(k))
+	}
+}
+
+// axpy4 computes d[j] += c0*r0[j], then c1*r1[j], c2*r2[j] and c3*r3[j],
+// rounding after each step. Every row is re-sliced to len(d) so the loop
+// runs without bounds checks.
+func axpy4(d []float64, c0, c1, c2, c3 float64, r0, r1, r2, r3 []float64) {
+	r0, r1, r2, r3 = r0[:len(d)], r1[:len(d)], r2[:len(d)], r3[:len(d)]
+	for j := range d {
+		s := d[j]
+		s += c0 * r0[j]
+		s += c1 * r1[j]
+		s += c2 * r2[j]
+		s += c3 * r3[j]
+		d[j] = s
+	}
+}
+
+// axpy1 computes d += c·r.
+func axpy1(d []float64, c float64, r []float64) {
+	r = r[:len(d)]
+	for j := range d {
+		d[j] += c * r[j]
 	}
 }
 
@@ -162,24 +206,17 @@ func MulTransAInto(dst, a, b *Matrix) {
 	mulTransARows(dst, a, b, 0, dst.Rows)
 }
 
-// mulTransARows computes dst rows [lo, hi) of aᵀ·b. The k (sample) loop
-// stays outermost so every dst element accumulates over k in ascending
-// order — the same order as a full serial pass — keeping parallel and
-// serial results bitwise identical.
+// mulTransARows computes dst rows [lo, hi) of aᵀ·b: row i of dst
+// accumulates a[k][i]·b[k] over the nonzero entries of column i of a. Every
+// dst element accumulates over k in ascending order — the order of a full
+// serial pass and of the plain k-outer loop — so parallel and serial
+// results are bitwise identical.
 func mulTransARows(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
-			aki := arow[i]
-			if aki == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j := range brow {
-				drow[j] += aki * brow[j]
-			}
-		}
+	if a.Rows == 0 {
+		return // an empty sum: dst stays zero, and a.Data[i:] would be out of range
+	}
+	for i := lo; i < hi; i++ {
+		accumRow(dst.Row(i), a.Data[i:], a.Cols, b)
 	}
 }
 
@@ -206,13 +243,28 @@ func MulTransBInto(dst, a, b *Matrix) {
 }
 
 // mulTransBRows computes dst rows [lo, hi) of a·bᵀ as independent dot
-// products, bitwise identical to the serial pass for any row split.
+// products, four output columns at a time with one accumulator each. Every
+// accumulator sums over k in ascending order, so the result is bitwise
+// identical to one dot product per column and to any row split.
 func mulTransBRows(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0, b1 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)]
+			b2, b3 := b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
+			brow := b.Row(j)[:len(arow)]
 			var s float64
 			for k, av := range arow {
 				s += av * brow[k]

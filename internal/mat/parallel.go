@@ -9,10 +9,14 @@ import (
 // The package keeps a single shared worker pool that the matmul kernels (and
 // callers such as the DP-SGD training loop) fan work out to. Parallel kernels
 // partition their OUTPUT rows across workers: every output element is written
-// by exactly one worker using the same inner-loop accumulation order as the
-// serial kernel, so results are bitwise identical at every parallelism level
-// and for every work split. That invariant is what the determinism tests in
-// this package and in internal/dgan assert.
+// by exactly one worker using the same accumulation order as the serial
+// kernel, so results are bitwise identical at every parallelism level and for
+// every work split. The register-blocked kernels go further: each element
+// accumulates the same products, in the same ascending-k order and with the
+// same rounding, as the plain ikj (or dot-product) loop, so they are bitwise
+// equal to that loop, not only to their own serial runs. The determinism
+// tests in this package and in internal/dgan assert the first invariant;
+// the frozen-reference tests in kernel_ref_test.go assert the second.
 
 var (
 	// parallelism is the target worker count; 1 disables parallel dispatch.

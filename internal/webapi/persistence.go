@@ -159,7 +159,17 @@ func (s *Server) persistResult(id, kind string, model []byte, build func(dir str
 	}
 	if err := reg.PutJobStore(rec, build); err != nil {
 		s.registryError(id, err)
+		return
 	}
+	// The committed store now serves every download (csv and the encoded
+	// formats stream off it, reloadTrace rebuilds the rest), so drop the
+	// in-memory trace: finished jobs must not pin their traces for the
+	// life of the process. Without a registry it stays, as the only copy.
+	s.mu.Lock()
+	if j := s.jobs[id]; j != nil {
+		j.flow, j.packet = nil, nil
+	}
+	s.mu.Unlock()
 }
 
 // persistFailed durably records a terminal failure (no model, no trace),

@@ -46,6 +46,24 @@ func waitPersisted(t *testing.T, api *Server, id string) {
 	t.Fatalf("job %s was never persisted", id)
 }
 
+// waitFinished blocks until notify (a Server.Notifications channel taken
+// before the job was submitted) reports job id: that fires after the run
+// body, persistence included, has returned.
+func waitFinished(t *testing.T, notify <-chan string, id string) {
+	t.Helper()
+	deadline := time.After(120 * time.Second)
+	for {
+		select {
+		case got := <-notify:
+			if got == id {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("job %s did not finish", id)
+		}
+	}
+}
+
 // fetch GETs a path and returns status code and body.
 func fetch(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	t.Helper()

@@ -71,17 +71,20 @@ func getQuery(t *testing.T, ts *httptest.Server, path string) (int, queryRespons
 
 // TestJobPersistsColumnarStore runs a real training job against a
 // registry and checks the end-to-end store path: the persisted payload
-// is a columnar store, the CSV download still matches the in-memory
-// trace byte for byte, and the query endpoint sees every row.
+// is a columnar store, the job stops holding its trace in memory once the
+// store is committed, every flow download served off the store matches
+// the same job served from memory byte for byte, and the query endpoint
+// sees every row.
 func TestJobPersistsColumnarStore(t *testing.T) {
 	dir := t.TempDir()
 	ts, api, _ := startServerWithRegistry(t, dir)
+	finished := api.Notifications()
 	st := postJob(t, ts, tinyJob("netflow"))
-	final := waitDone(t, api, ts, st.ID)
+	waitFinished(t, finished, st.ID)
+	final := getStatus(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("job failed: %s", final.Error)
 	}
-	waitPersisted(t, api, st.ID)
 
 	rec, err := api.registry().Job(st.ID)
 	if err != nil {
@@ -90,18 +93,36 @@ func TestJobPersistsColumnarStore(t *testing.T) {
 	if !rec.TraceStore || rec.TraceKind != "netflow" || rec.TraceRows != int64(final.Records) {
 		t.Fatalf("job not persisted as a store: %+v", rec)
 	}
-
-	// The streamed CSV is byte-identical to encoding the in-memory trace.
 	api.mu.Lock()
-	gen := api.jobs[st.ID].flow
+	flow, packet := api.jobs[st.ID].flow, api.jobs[st.ID].packet
 	api.mu.Unlock()
-	var want bytes.Buffer
-	if err := trace.WriteFlowCSV(&want, gen); err != nil {
-		t.Fatal(err)
+	if flow != nil || packet != nil {
+		t.Fatal("persisted job still holds its trace in memory")
 	}
-	code, got := fetch(t, ts, "/api/v1/jobs/"+st.ID+"/trace?format=csv")
-	if code != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("store-streamed CSV drifted (code %d, %d vs %d bytes)", code, len(got), want.Len())
+
+	// The same job on a server without a registry keeps its trace (its
+	// only copy) and serves every download from it; the store-backed
+	// downloads are byte-identical.
+	tsMem, apiMem := startServer(t)
+	mem := postJob(t, tsMem, tinyJob("netflow"))
+	if st := waitDone(t, apiMem, tsMem, mem.ID); st.State != StateDone {
+		t.Fatalf("memory-only job failed: %s", st.Error)
+	}
+	apiMem.mu.Lock()
+	kept := apiMem.jobs[mem.ID].flow
+	apiMem.mu.Unlock()
+	if kept == nil {
+		t.Fatal("memory-only job dropped its only copy of the trace")
+	}
+	for _, format := range []string{"csv", "netflow5", "netflow9", "ipfix"} {
+		codeMem, want := fetch(t, tsMem, "/api/v1/jobs/"+mem.ID+"/trace?format="+format)
+		code, got := fetch(t, ts, "/api/v1/jobs/"+st.ID+"/trace?format="+format)
+		if codeMem != http.StatusOK || code != http.StatusOK || len(want) == 0 {
+			t.Fatalf("%s download: memory-only %d, store-backed %d", format, codeMem, code)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("store-served %s drifted from the in-memory trace's (%d vs %d bytes)", format, len(got), len(want))
+		}
 	}
 
 	// The query endpoint sees every generated row.

@@ -174,6 +174,8 @@ func (st JobStatus) clone() JobStatus {
 // job is the server-side job record.
 type job struct {
 	status JobStatus
+	// The finished trace, kept until the registry commits the job's
+	// store (for the life of the job on a memory-only server).
 	flow   *trace.FlowTrace   // result for netflow jobs
 	packet *trace.PacketTrace // result for pcap jobs
 }
@@ -274,49 +276,75 @@ func (s *Server) Notifications() <-chan string {
 	return s.notify
 }
 
+// route is one API endpoint: the ServeMux pattern, the query parameters
+// the index advertises after its path, and the handler.
+type route struct {
+	pattern string
+	query   string
+	handler http.HandlerFunc
+}
+
+// routes is the single table both the mux registrations and the GET /
+// index are built from, so the advertised endpoint list cannot drift from
+// what the server actually serves.
+func (s *Server) routes() []route {
+	rs := []route{
+		{"GET /{$}", "", s.handleIndex},
+		{"GET /healthz", "", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		}},
+		{"GET /api/v1/datasets", "", s.handleDatasets},
+		{"POST /api/v1/jobs", "", s.handleSubmit},
+		{"GET /api/v1/jobs", "", s.handleList},
+		{"GET /api/v1/jobs/{id}", "", s.handleStatus},
+		{"GET /api/v1/jobs/{id}/trace", "?format=csv|pcap|netflow5|netflow9|ipfix", s.handleDownload},
+		{"GET /api/v1/traces/{id}/query", "?from=&to=&filter=&agg=&topk=&limit=", s.handleTraceQuery},
+		{"GET /api/v1/models", "", s.handleModels},
+		{"POST /api/v1/models/{name}/generate", "", s.handleModelGenerate},
+		{"GET /api/v1/ingest", "", s.handleIngest},
+		{"GET /api/v1/cluster", "", s.handleCluster},
+		{"POST /api/v1/cluster/workers/{id}", "", s.handleWorkerHeartbeat},
+		{"GET /metrics", "?format=prom", s.handleMetrics},
+	}
+	if s.Debug {
+		rs = append(rs,
+			route{"/debug/pprof/", "", pprof.Index},
+			route{"/debug/pprof/cmdline", "", pprof.Cmdline},
+			route{"/debug/pprof/profile", "", pprof.Profile},
+			route{"/debug/pprof/symbol", "", pprof.Symbol},
+			route{"/debug/pprof/trace", "", pprof.Trace},
+		)
+	}
+	return rs
+}
+
+// endpoint is the index's listing of a route: its pattern without the
+// ServeMux exact-match marker, followed by its query parameters.
+func (rt route) endpoint() string {
+	return strings.Replace(rt.pattern, "{$}", "", 1) + rt.query
+}
+
 // Handler returns the HTTP handler for the API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"service": "netshare web prototype",
-			"paper":   "Practical GAN-based Synthetic IP Header Trace Generation using NetShare (SIGCOMM 2022), section 5",
-			"endpoints": []string{
-				"GET /healthz",
-				"GET /api/v1/datasets",
-				"POST /api/v1/jobs",
-				"GET /api/v1/jobs",
-				"GET /api/v1/jobs/{id}",
-				"GET /api/v1/jobs/{id}/trace?format=csv|pcap|netflow5",
-				"GET /api/v1/traces/{id}/query?from=&to=&filter=&agg=&topk=&limit=",
-				"GET /api/v1/models",
-				"POST /api/v1/models/{name}/generate",
-			},
-		})
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /api/v1/datasets", s.handleDatasets)
-	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
-	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/trace", s.handleDownload)
-	mux.HandleFunc("GET /api/v1/traces/{id}/query", s.handleTraceQuery)
-	mux.HandleFunc("GET /api/v1/models", s.handleModels)
-	mux.HandleFunc("POST /api/v1/models/{name}/generate", s.handleModelGenerate)
-	mux.HandleFunc("GET /api/v1/ingest", s.handleIngest)
-	mux.HandleFunc("GET /api/v1/cluster", s.handleCluster)
-	mux.HandleFunc("POST /api/v1/cluster/workers/{id}", s.handleWorkerHeartbeat)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.Debug {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, rt.handler)
 	}
 	return mux
+}
+
+// handleIndex serves GET /: the service description and every endpoint
+// the server registers.
+func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+	var endpoints []string
+	for _, rt := range s.routes() {
+		endpoints = append(endpoints, rt.endpoint())
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"service":   "netshare web prototype",
+		"paper":     "Practical GAN-based Synthetic IP Header Trace Generation using NetShare (SIGCOMM 2022), section 5",
+		"endpoints": endpoints,
+	})
 }
 
 // handleIngest serves the attached ingest source's statistics.

@@ -119,6 +119,56 @@ func TestIndexPage(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown path: %d", resp2.StatusCode)
 	}
+
+	// Every route the mux registers is listed, with and without the
+	// profiling endpoints, and every listed endpoint routes to its handler.
+	for _, debug := range []bool{false, true} {
+		api := NewServer(1)
+		api.Debug = debug
+		mux := api.Handler().(*http.ServeMux)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		var index struct{ Endpoints []string }
+		if err := json.NewDecoder(rec.Body).Decode(&index); err != nil {
+			t.Fatal(err)
+		}
+		listed := map[string]bool{}
+		for _, e := range index.Endpoints {
+			listed[e] = true
+		}
+		routes := api.routes()
+		if len(index.Endpoints) != len(routes) {
+			t.Errorf("debug=%v: index lists %d endpoints, the mux registers %d", debug, len(index.Endpoints), len(routes))
+		}
+		for _, rt := range routes {
+			if !listed[rt.endpoint()] {
+				t.Errorf("debug=%v: index omits registered route %q", debug, rt.endpoint())
+			}
+			method, path, ok := strings.Cut(strings.Replace(rt.pattern, "{$}", "", 1), " ")
+			if !ok {
+				method, path = http.MethodGet, method
+			}
+			path = strings.NewReplacer("{id}", "x", "{name}", "x").Replace(path)
+			if _, pattern := mux.Handler(httptest.NewRequest(method, path, nil)); pattern != rt.pattern {
+				t.Errorf("%s %s routes to %q, want %q", method, path, pattern, rt.pattern)
+			}
+		}
+		// The endpoints a hand-kept list once omitted.
+		for _, e := range []string{
+			"GET /api/v1/ingest",
+			"GET /api/v1/cluster",
+			"POST /api/v1/cluster/workers/{id}",
+			"GET /metrics?format=prom",
+			"GET /api/v1/jobs/{id}/trace?format=csv|pcap|netflow5|netflow9|ipfix",
+		} {
+			if !listed[e] {
+				t.Errorf("debug=%v: index omits %q", debug, e)
+			}
+		}
+		if listed["/debug/pprof/"] != debug {
+			t.Errorf("debug=%v: index lists /debug/pprof/ = %v", debug, listed["/debug/pprof/"])
+		}
+	}
 }
 
 func TestHealthz(t *testing.T) {
