@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build fmt-check vet test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store bench-conditional staticcheck govulncheck ci clean
+.PHONY: all build fmt-check vet cross-build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store bench-conditional staticcheck govulncheck ci clean
 
 all: build
 
@@ -15,6 +15,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# The amd64 assembly kernels (internal/mat/kernels_amd64.s) have a pure-Go
+# fallback behind a !amd64 build tag; vet and build it for arm64 so the
+# fallback keeps compiling. Cross-compiling needs no network.
+cross-build:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -161,7 +167,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: fmt-check vet staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
+ci: fmt-check vet cross-build staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
 
 clean:
 	$(GO) clean ./...

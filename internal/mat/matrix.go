@@ -128,7 +128,7 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// accumRow computes d += Σ_k c[k*stride]·b.Row(k) over the k in
+// accumRowGo computes d += Σ_k c[k*stride]·b.Row(k) over the k in
 // [0, b.Rows) whose coefficient is nonzero, bitwise equal to the plain loop
 //
 //	for k := range b.Rows { if c_k != 0 { for j := range d { d[j] += c_k*b[k][j] } } }
@@ -140,7 +140,7 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 // does) keeps a zero next to an Inf in b from producing NaN. Each step is
 // its own `s += c*r[j]` statement, so on architectures where Go fuses
 // multiply-add the kernel fuses exactly where the plain loop does.
-func accumRow(d, c []float64, stride int, b *Matrix) {
+func accumRowGo(d, c []float64, stride int, b *Matrix) {
 	var ks [4]int
 	n := 0
 	for k := 0; k < b.Rows; k++ {
@@ -242,11 +242,11 @@ func MulTransBInto(dst, a, b *Matrix) {
 	mulTransBRows(dst, a, b, 0, a.Rows)
 }
 
-// mulTransBRows computes dst rows [lo, hi) of a·bᵀ as independent dot
+// mulTransBRowsGo computes dst rows [lo, hi) of a·bᵀ as independent dot
 // products, four output columns at a time with one accumulator each. Every
 // accumulator sums over k in ascending order, so the result is bitwise
 // identical to one dot product per column and to any row split.
-func mulTransBRows(dst, a, b *Matrix, lo, hi int) {
+func mulTransBRowsGo(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)

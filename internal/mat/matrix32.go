@@ -63,31 +63,37 @@ func MulInto32(dst, a, b *Matrix32) {
 		panic(fmt.Sprintf("mat: Mul32 dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
-	n := b.Cols
-	// Four k-rows of b per pass: each pass over drow does 4 multiply-adds
-	// per element instead of 1, quartering the dominant drow load/store
-	// traffic (inner dims here are small, so the kernel is stream-bound,
-	// not cache-bound) and giving the scalar pipeline independent products.
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)[:n]
-		k := 0
-		for ; k+4 <= a.Cols; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Row(k)[:n]
-			b1 := b.Row(k + 1)[:n]
-			b2 := b.Row(k + 2)[:n]
-			b3 := b.Row(k + 3)[:n]
-			for j := range drow {
-				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+		mulRow32(dst.Row(i), a.Row(i), b)
+	}
+}
+
+// mulRow32Go computes drow += arow·b. Four k-rows of b per pass: each pass
+// over drow does 4 multiply-adds per element instead of 1, quartering the
+// dominant drow load/store traffic (inner dims here are small, so the
+// kernel is stream-bound, not cache-bound) and giving the scalar pipeline
+// independent products. Every element takes
+// d + (((a0·b0 + a1·b1) + a2·b2) + a3·b3) per group of four k, then one
+// d + a·b per leftover k; the AVX2 kernel keeps that association per lane.
+func mulRow32Go(drow, arow []float32, b *Matrix32) {
+	n := b.Cols
+	drow = drow[:n]
+	k := 0
+	for ; k+4 <= len(arow); k += 4 {
+		a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+		b0 := b.Row(k)[:n]
+		b1 := b.Row(k + 1)[:n]
+		b2 := b.Row(k + 2)[:n]
+		b3 := b.Row(k + 3)[:n]
+		for j := range drow {
+			drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
-		for ; k < a.Cols; k++ {
-			aik := arow[k]
-			brow := b.Row(k)[:n]
-			for j := range drow {
-				drow[j] += aik * brow[j]
-			}
+	}
+	for ; k < len(arow); k++ {
+		aik := arow[k]
+		brow := b.Row(k)[:n]
+		for j := range drow {
+			drow[j] += aik * brow[j]
 		}
 	}
 }

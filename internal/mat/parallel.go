@@ -11,7 +11,8 @@ import (
 // partition their OUTPUT rows across workers: every output element is written
 // by exactly one worker using the same accumulation order as the serial
 // kernel, so results are bitwise identical at every parallelism level and for
-// every work split. The register-blocked kernels go further: each element
+// every work split. The register-blocked kernels, and on AVX2 CPUs the
+// assembly kernels in kernels_amd64.s, go further: each element
 // accumulates the same products, in the same ascending-k order and with the
 // same rounding, as the plain ikj (or dot-product) loop, so they are bitwise
 // equal to that loop, not only to their own serial runs. The determinism

@@ -228,8 +228,12 @@ func (s *Server) streamEncodedTrace(w http.ResponseWriter, id, format string) bo
 		return true
 	}
 	telTracesStreamed.Inc()
+	// Cache an exactly sized copy: buf grew by doubling, so its backing
+	// array can be nearly twice the body, while the LRU charges len(data).
+	data := make([]byte, buf.Len())
+	copy(data, buf.Bytes())
 	s.artifactPut(&artifact{
-		key: key, jobID: id, data: buf.Bytes(),
+		key: key, jobID: id, data: data,
 		contentType: contentType, ext: ext,
 	})
 	return true

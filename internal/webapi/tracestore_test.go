@@ -40,6 +40,13 @@ func queryTrace(n int) *trace.FlowTrace {
 // tests don't have to pay for a training run.
 func seedStoreJob(t *testing.T, dir, id string, ft *trace.FlowTrace) {
 	t.Helper()
+	seedStoreJobWith(t, dir, id, ft, store.Options{BlockRows: 64, PartitionRows: 256})
+}
+
+// seedStoreJobWith is seedStoreJob with explicit store block and
+// partition sizes.
+func seedStoreJobWith(t *testing.T, dir, id string, ft *trace.FlowTrace, opts store.Options) {
+	t.Helper()
 	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +57,7 @@ func seedStoreJob(t *testing.T, dir, id string, ft *trace.FlowTrace) {
 	})
 	rec := registry.JobRecord{ID: id, State: string(StateDone), Status: status}
 	err = reg.PutJobStore(rec, func(dir string) error {
-		return store.WriteFlowTrace(dir, ft, store.Options{BlockRows: 64, PartitionRows: 256})
+		return store.WriteFlowTrace(dir, ft, opts)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,6 +297,38 @@ func TestEncodedDownloadStreamAndCache(t *testing.T) {
 	api.artMu.Unlock()
 	if size != 0 || entries != 0 {
 		t.Fatalf("artifact survived sweep: %d bytes in %d entries", size, entries)
+	}
+}
+
+// TestArtifactCacheChargesRetainedBytes checks that the artifact LRU's
+// byte budget counts what its entries actually pin: after multi-MB
+// streamed downloads, every cached body has cap == len and artSize equals
+// the retained bytes.
+func TestArtifactCacheChargesRetainedBytes(t *testing.T) {
+	dir := t.TempDir()
+	seedStoreJobWith(t, dir, "job-1", queryTrace(60000), store.Options{})
+	ts, api, _ := startServerWithRegistry(t, dir)
+	for _, format := range []string{"netflow5", "ipfix"} {
+		code, body := fetch(t, ts, "/api/v1/jobs/job-1/trace?format="+format)
+		if code != http.StatusOK || len(body) < 2<<20 {
+			t.Fatalf("%s download: code %d, %d bytes", format, code, len(body))
+		}
+	}
+	api.artMu.Lock()
+	defer api.artMu.Unlock()
+	if len(api.artCache) != 2 {
+		t.Fatalf("%d cached artifacts, want 2", len(api.artCache))
+	}
+	var retained int64
+	for key, el := range api.artCache {
+		a := el.Value.(*artifact)
+		if cap(a.data) != len(a.data) {
+			t.Errorf("%s: cached body pins cap %d for len %d", key, cap(a.data), len(a.data))
+		}
+		retained += int64(cap(a.data))
+	}
+	if api.artSize != retained {
+		t.Fatalf("artSize %d, retained %d bytes", api.artSize, retained)
 	}
 }
 
