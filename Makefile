@@ -1,12 +1,19 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build fmt-check vet cross-build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store bench-conditional staticcheck govulncheck ci clean
+.PHONY: all build perfbench-build fmt-check vet cross-build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench bench-parallel bench-generate bench-store bench-conditional staticcheck govulncheck ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go build ./...` skips it; vet and build it against this tree through
+# its replace directive (no network needed), so an API change that breaks
+# `bash perfbench/run.sh` fails here.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 # gofmt gate: fails when any Go file is not gofmt-formatted
 # (`gofmt -l .` lists them).
@@ -134,8 +141,8 @@ bench:
 bench-parallel:
 	$(GO) run ./cmd/benchpar -out BENCH_parallel.json
 
-# Generation-pipeline timings (baseline-vs-optimized sampler and decode,
-# end-to-end flow generation), recorded to BENCH_generate.json.
+# Generation-pipeline timings (float64-vs-float32 sampler, scan-vs-batched
+# decode, end-to-end flow generation), recorded to BENCH_generate.json.
 bench-generate:
 	$(GO) run ./cmd/benchpar -suite generate -out BENCH_generate.json
 
@@ -167,7 +174,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: fmt-check vet cross-build staticcheck govulncheck build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
+ci: fmt-check vet cross-build staticcheck govulncheck build perfbench-build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,6 @@
-// Generation-pipeline benchmarks: the lot-parallel dgan sampler against
-// the retained baseline, the batched embedding decode against the linear
-// scan, and the end-to-end flow synthesizer. The workloads live in
+// Generation-pipeline benchmarks: the lot-parallel dgan sampler and its
+// float32 snapshot, the batched embedding decode against the linear scan,
+// and the end-to-end flow synthesizer. The workloads live in
 // internal/benchpar so cmd/benchpar can record the same numbers into
 // BENCH_generate.json. Run with
 //
@@ -18,12 +18,6 @@ import (
 // all CPUs; output is bitwise-identical at both settings.
 func BenchmarkGenerateDGAN(b *testing.B) {
 	serialAndParallel(b, benchpar.Generate)
-}
-
-// BenchmarkGenerateDGANBaseline times the pre-pipeline sampler (training
-// forwards, full unroll) on the same weights and sample count.
-func BenchmarkGenerateDGANBaseline(b *testing.B) {
-	b.Run("serial", benchpar.GenerateBaseline())
 }
 
 // BenchmarkGenerateDGANFast times the float32 inference snapshot (the

@@ -233,8 +233,8 @@ func measureTelemetry() *telemetryOverhead {
 func generateReport() report {
 	return report{
 		Note: "generation pipeline: baseline-vs-optimized comparisons are " +
-			"algorithmic (batched matmul decode, early-exit unroll, pooled " +
-			"scratch, float32 fused inference) and hold at any cpu count; the " +
+			"algorithmic (batched matmul decode, float32 fused inference) and " +
+			"hold at any cpu count; the " +
 			"serial-vs-parallel pairs scale with cpus (expect ~1.0 on a 1-CPU " +
 			"runner). Float64 entries are bitwise-identical at every " +
 			"parallelism setting; the _fast entries are the float32 serving " +
@@ -247,8 +247,6 @@ func generateReport() report {
 		Comparisons: map[string]comparison{
 			"ip2vec_decode_256": compare("ip2vec_decode_256",
 				benchpar.DecodeScan(), benchpar.DecodeBatched()),
-			"dgan_generate_256": compare("dgan_generate_256",
-				benchpar.GenerateBaseline(), benchpar.Generate(1)),
 			// Serving fast path vs the float64 reference sampler on
 			// identical weights; the acceptance floor is 2x serial.
 			"dgan_generate_256_fast": compare("dgan_generate_256_fast",

@@ -112,6 +112,9 @@ func run() error {
 	if *par < 0 {
 		return fmt.Errorf("-parallelism must be >= 0, got %d", *par)
 	}
+	if *genSize < 1 {
+		return fmt.Errorf("-gen must be >= 1, got %d", *genSize)
+	}
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}

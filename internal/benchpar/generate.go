@@ -72,19 +72,6 @@ func Generate(parallelism int) func(b *testing.B) {
 	}
 }
 
-// GenerateBaseline benchmarks the retained pre-pipeline sampler (training
-// forwards, fresh activations, full MaxLen unroll) on identical weights.
-func GenerateBaseline() func(b *testing.B) {
-	return func(b *testing.B) {
-		m := genModel(b, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.GenerateBaseline(GenBatch)
-		}
-	}
-}
-
 // GenerateFast benchmarks the float32 inference snapshot (fused GRU
 // steps, compact weights, polynomial activations) of the same generation
 // model at the given worker count. Compared against Generate(1), this is

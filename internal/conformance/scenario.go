@@ -50,8 +50,8 @@ func FilterFlowLabel(t *trace.FlowTrace, label trace.Label) *trace.FlowTrace {
 // ScenarioMatrix scores conditional generation label by label: for every
 // requested label it slices ref, asks gen for a synthetic trace of the
 // slice's size conditioned on that label, and runs FlowReport between the
-// two slices. gen is typically a closure over FlowSynthesizer (or
-// FastFlowSynthesizer) GenerateLabeled. Labels with fewer than
+// two slices. gen is typically a closure over a FlowSynthesizer's (or
+// its Fast snapshot's) GenerateLabeled. Labels with fewer than
 // MinScenarioRecords reference records are marked Skipped; a gen error
 // aborts the matrix.
 func ScenarioMatrix(ref *trace.FlowTrace, labels []trace.Label, gen func(label trace.Label, n int) (*trace.FlowTrace, error)) (Matrix, error) {

@@ -163,7 +163,7 @@ func TestConditionalFlowSynthesizer(t *testing.T) {
 	if err := fast.Save(&fastBuf); err != nil {
 		t.Fatal(err)
 	}
-	fastLoaded, err := LoadFastFlowSynthesizer(bytes.NewReader(fastBuf.Bytes()))
+	fastLoaded, err := LoadFlowSynthesizer(bytes.NewReader(fastBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestFastFlowSaveLoadRoundTrip(t *testing.T) {
 	if err := fresh.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFastFlowSynthesizer(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadFlowSynthesizer(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFastPacketSaveLoadRoundTrip(t *testing.T) {
 	if err := fresh.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFastPacketSynthesizer(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadPacketSynthesizer(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,22 +162,108 @@ func TestFastPacketSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestFastLoadRejectsWrongKind: fast frames are typed; feeding a flow-fast
-// container to the packet loader fails with ErrWrongKind, and a reference
-// flow-model container is rejected by the fast loader.
+// container to the packet loader fails with ErrWrongKind.
 func TestFastLoadRejectsWrongKind(t *testing.T) {
 	syn, _ := trainedSynthesizers(t)
 	var fastBuf bytes.Buffer
 	if err := syn.Fast().Save(&fastBuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFastPacketSynthesizer(bytes.NewReader(fastBuf.Bytes())); !errors.Is(err, container.ErrWrongKind) {
+	if _, err := LoadPacketSynthesizer(bytes.NewReader(fastBuf.Bytes())); !errors.Is(err, container.ErrWrongKind) {
 		t.Fatalf("packet loader on flow-fast frame: %v", err)
 	}
-	var refBuf bytes.Buffer
-	if err := syn.Save(&refBuf); err != nil {
-		t.Fatal(err)
+}
+
+// fastFlowWire and fastPacketWire are the wire structs float32 containers
+// were written with while the float32 synthesizers were types of their
+// own. Gob writes the type name into the stream, so those containers
+// differ in bytes from the ones Save writes now; they must still load.
+type fastFlowWire struct {
+	Config Config
+	Stats  Stats
+	Embed  embedWire
+	Time   rangeWire
+	Dur    rangeWire
+	Pkt    rangeWire
+	Byt    rangeWire
+	Models [][]byte
+}
+
+type fastPacketWire struct {
+	Config Config
+	Stats  Stats
+	Embed  embedWire
+	Time   rangeWire
+	Size   rangeWire
+	Models [][]byte
+}
+
+// TestLoadLegacyFastContainers frames a float32 snapshot in the old wire
+// structs under the fast container kinds and checks that the loaders
+// decode it into a synthesizer that generates the snapshot's bytes.
+func TestLoadLegacyFastContainers(t *testing.T) {
+	flow, pkt := trainedSynthesizers(t)
+	counts := []int{250, 97}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := LoadFastFlowSynthesizer(bytes.NewReader(refBuf.Bytes())); !errors.Is(err, container.ErrWrongKind) {
-		t.Fatalf("fast loader on flow-model frame: %v", err)
+	flowCSV := func(outs []*trace.FlowTrace) []byte {
+		var buf bytes.Buffer
+		for _, out := range outs {
+			must(trace.WriteFlowCSV(&buf, out))
+		}
+		return buf.Bytes()
+	}
+	packetCSV := func(outs []*trace.PacketTrace) []byte {
+		var buf bytes.Buffer
+		for _, out := range outs {
+			must(trace.WritePacketCSV(&buf, out))
+		}
+		return buf.Bytes()
+	}
+
+	fastFlow := flow.Fast()
+	fw := fastFlowWire{Config: fastFlow.cfg, Stats: fastFlow.stats}
+	var err error
+	fw.Embed, err = captureEmbed(fastFlow.codec.embed)
+	must(err)
+	for _, r := range []struct {
+		dst *rangeWire
+		src interface {
+			Range() (float64, float64, bool)
+		}
+	}{{&fw.Time, &fastFlow.codec.timeNorm}, {&fw.Dur, fastFlow.codec.durNorm}, {&fw.Pkt, fastFlow.codec.pktNorm}, {&fw.Byt, fastFlow.codec.bytNorm}} {
+		*r.dst, err = captureRange(r.src)
+		must(err)
+	}
+	fw.Models, err = fastFlow.encodeModels()
+	must(err)
+	var buf bytes.Buffer
+	must(saveContainer(&buf, container.KindFlowFast, fw))
+	loadedFlow, err := LoadFlowSynthesizer(&buf)
+	must(err)
+	if !bytes.Equal(flowCSV(fastFlow.GenerateBatch(counts)), flowCSV(loadedFlow.GenerateBatch(counts))) {
+		t.Fatal("legacy flow-fast container generates other bytes than its snapshot")
+	}
+
+	fastPkt := pkt.Fast()
+	pw := fastPacketWire{Config: fastPkt.cfg, Stats: fastPkt.stats}
+	pw.Embed, err = captureEmbed(fastPkt.codec.embed)
+	must(err)
+	pw.Time, err = captureRange(&fastPkt.codec.timeNorm)
+	must(err)
+	pw.Size, err = captureRange(fastPkt.codec.sizeNorm)
+	must(err)
+	pw.Models, err = fastPkt.encodeModels()
+	must(err)
+	buf.Reset()
+	must(saveContainer(&buf, container.KindPacketFast, pw))
+	loadedPkt, err := LoadPacketSynthesizer(&buf)
+	must(err)
+	if !bytes.Equal(packetCSV(fastPkt.GenerateBatch(counts)), packetCSV(loadedPkt.GenerateBatch(counts))) {
+		t.Fatal("legacy packet-fast container generates other bytes than its snapshot")
 	}
 }

@@ -242,12 +242,11 @@ func (c *flowCodec) decodeRecords(s dgan.Sample, ft trace.FiveTuple) []trace.Flo
 	return out
 }
 
-// FlowSynthesizer is a trained NetShare model for NetFlow traces.
+// FlowSynthesizer is a trained NetShare model for NetFlow traces, sampling
+// in float64 or, after Fast, in float32 (sampler.go).
 type FlowSynthesizer struct {
-	cfg    Config
-	codec  *flowCodec
-	models []*dgan.Model
-	stats  Stats
+	chunkSamplers
+	codec *flowCodec
 }
 
 // TrainFlowSynthesizer runs the full NetShare pipeline on a flow trace.
@@ -278,7 +277,7 @@ func TrainFlowSynthesizerOpts(t *trace.FlowTrace, public *trace.PacketTrace, cfg
 	if err != nil {
 		return nil, err
 	}
-	return &FlowSynthesizer{cfg: cfg, codec: codec, models: models, stats: stats}, nil
+	return &FlowSynthesizer{chunkSamplers: trained(cfg, models, stats), codec: codec}, nil
 }
 
 // buildFlowTraining is the deterministic preparation shared by local
@@ -370,14 +369,26 @@ func ganConfig(cfg Config, meta, feat []nn.FieldSpec) dgan.Config {
 	return g
 }
 
+// Fast returns the float32 serving snapshot of s (DESIGN.md §11): a
+// synthesizer sharing the read-only codec whose chunks are
+// dgan.InferModel snapshots on their own generation streams, so
+// fast-path serving never perturbs the float64 streams. On a synthesizer
+// that already samples in float32 it returns s.
+func (s *FlowSynthesizer) Fast() *FlowSynthesizer {
+	if s.fast() {
+		return s
+	}
+	return &FlowSynthesizer{chunkSamplers: s.infer(), codec: s.codec}
+}
+
 // Generate produces approximately n synthetic flow records, drawing flow
 // samples from each chunk model proportionally to the chunk's training
 // share and reassembling by start time (§4.2 post-processing). Chunk models
 // generate concurrently (each on its own canonical RNG stream) and their
 // records are merged in chunk order before sorting, so the emitted trace is
-// byte-identical at every parallelism setting.
+// byte-identical at every parallelism setting. A negative n is 0.
 func (s *FlowSynthesizer) Generate(n int) *trace.FlowTrace {
-	return s.generate(n, -1, false)
+	return s.generateBatch([]int{n}, -1, false)[0]
 }
 
 // GenerateFresh is Generate (label -1) or GenerateLabeled (label >= 0) as
@@ -391,7 +402,7 @@ func (s *FlowSynthesizer) GenerateFresh(n, label int) (*trace.FlowTrace, error) 
 			return nil, err
 		}
 	}
-	return s.generate(n, label, true), nil
+	return s.generateBatch([]int{n}, label, true)[0], nil
 }
 
 // Conditional reports whether the model was trained with scenario-label
@@ -402,19 +413,9 @@ func (s *FlowSynthesizer) Conditional() bool { return s.cfg.Conditional }
 // union of labels with positive fitted weight across the chunk models, in
 // ascending order. It is empty on unconditional models.
 func (s *FlowSynthesizer) LabelCatalog() []trace.Label {
-	weights := make([][]float64, 0, len(s.models))
-	for _, m := range s.models {
-		weights = append(weights, m.LabelWeights())
-	}
-	return labelCatalog(weights)
-}
-
-// labelCatalog merges per-chunk fitted label distributions into the sorted
-// set of labels any chunk saw during training.
-func labelCatalog(weights [][]float64) []trace.Label {
 	var seen [trace.NumLabels]bool
-	for _, w := range weights {
-		for l, p := range w {
+	for _, m := range s.models {
+		for l, p := range m.LabelDistribution() {
 			if p > 0 && l < int(trace.NumLabels) {
 				seen[l] = true
 			}
@@ -433,10 +434,34 @@ func labelCatalog(weights [][]float64) []trace.Label {
 // conditioned on (and stamped with) the given scenario label. It fails on
 // models trained without Config.Conditional and on out-of-range labels.
 func (s *FlowSynthesizer) GenerateLabeled(n int, label trace.Label) (*trace.FlowTrace, error) {
+	outs, err := s.GenerateLabeledBatch([]int{n}, label)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// GenerateLabeledBatch is GenerateBatch with every request pinned to the
+// same scenario label — the primitive behind webapi's per-label request
+// coalescing (only same-label requests may share a chunk fan-out). It
+// fails where GenerateLabeled does.
+func (s *FlowSynthesizer) GenerateLabeledBatch(counts []int, label trace.Label) ([]*trace.FlowTrace, error) {
 	if err := s.checkLabel(int(label)); err != nil {
 		return nil, err
 	}
-	return s.generate(n, int(label), false), nil
+	return s.generateBatch(counts, int(label), false), nil
+}
+
+// GenerateBatch serves several requests' record counts from ONE chunk
+// fan-out: each chunk model runs a single batched forward pass covering
+// every request's share, and the generated records are dealt back out
+// per-request. Request ri's trace depends only on the sampler state, the
+// counts slice, and ri — chunk budgets are per-request quotas, so each
+// request receives its proportional share of every chunk (the same chunk
+// mixture a solo Generate would produce), not a contiguous slice of a
+// merged pool. A one-request batch is Generate.
+func (s *FlowSynthesizer) GenerateBatch(counts []int) []*trace.FlowTrace {
+	return s.generateBatch(counts, -1, false)
 }
 
 func (s *FlowSynthesizer) checkLabel(label int) error {
@@ -449,27 +474,36 @@ func (s *FlowSynthesizer) checkLabel(label int) error {
 	return nil
 }
 
-// generate is the shared chunk fan-out; label -1 is unconditional mixture
-// generation, label >= 0 pins every chunk's draw to one scenario. fresh
-// selects the chunk streams (chunkStream).
-func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
+// generateBatch is the shared chunk fan-out; label -1 is unconditional
+// mixture generation, label >= 0 pins every chunk's draw to one scenario.
+// fresh selects the chunk streams (chunkSamplers.stream).
+func (s *FlowSynthesizer) generateBatch(counts []int, label int, fresh bool) []*trace.FlowTrace {
 	defer telGeneratePhase.Start().Stop()
-	out := &trace.FlowTrace{}
-	perChunk := splitCounts(n, s.stats.ChunkSamples)
+	quotas, totals := s.quotas(counts)
 	chunkRecs := make([][]trace.FlowRecord, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkRecs[i] = s.generateChunk(s.models[i], chunkStream(s.cfg, i, fresh), perChunk[i], label)
+		chunkRecs[i] = s.generateChunk(s.models[i], s.stream(i, fresh), totals[i], label)
 	})
-	out.Records = make([]trace.FlowRecord, 0, n)
-	for _, recs := range chunkRecs {
-		out.Records = append(out.Records, recs...)
+	outs := make([]*trace.FlowTrace, len(counts))
+	for ri, n := range counts {
+		outs[ri] = &trace.FlowTrace{Records: make([]trace.FlowRecord, 0, max(n, 0))}
 	}
-	out.SortByStart()
-	return out
+	for i, recs := range chunkRecs {
+		off := 0
+		for ri, out := range outs {
+			q := quotas[ri][i]
+			out.Records = append(out.Records, recs[off:off+q]...)
+			off += q
+		}
+	}
+	for _, out := range outs {
+		out.SortByStart()
+	}
+	return outs
 }
 
 // generateChunk fills one chunk's record budget from stream r (nil: the
-// model's own RNG). Samples are flows and records per flow vary, so it
+// sampler's own RNG). Samples are flows and records per flow vary, so it
 // generates flows until the budget is met — always requesting whole
 // generation lots (partial lots waste a forward pass) and trimming the
 // overshoot. Samples are decoded as GenerateEach delivers them, and
@@ -478,7 +512,7 @@ func (s *FlowSynthesizer) generate(n, label int, fresh bool) *trace.FlowTrace {
 // would emit.
 // A pinned label (label >= 0) additionally stamps every emitted record
 // with that scenario, making the conditional slice authoritative.
-func (s *FlowSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget, label int) []trace.FlowRecord {
+func (s *FlowSynthesizer) generateChunk(m sampler, r *rand.Rand, budget, label int) []trace.FlowRecord {
 	if budget <= 0 {
 		return nil
 	}
@@ -486,7 +520,7 @@ func (s *FlowSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget, lab
 	for budget > 0 {
 		// The label was range-checked by checkLabel and the model was
 		// trained conditionally, so this cannot fail.
-		_ = m.GenerateEach(r, fullLots(budget, m.Config.Batch), label, func(batch []dgan.Sample) bool {
+		_ = m.GenerateEach(r, fullLots(budget, m.LotSize()), label, func(batch []dgan.Sample) bool {
 			tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
 			for bi, sample := range batch {
 				for _, r := range s.codec.decodeRecords(sample, tuples[bi]) {
@@ -504,19 +538,6 @@ func (s *FlowSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget, lab
 		})
 	}
 	return out
-}
-
-// Stats returns the training cost report.
-func (s *FlowSynthesizer) Stats() Stats { return s.stats }
-
-// SetParallelism retargets the generation (and any further training) worker
-// count of every chunk model: 0 = NumCPU, 1 = serial. Output is bitwise
-// independent of the setting.
-func (s *FlowSynthesizer) SetParallelism(n int) {
-	s.cfg.Parallelism = n
-	for _, m := range s.models {
-		m.SetParallelism(n)
-	}
 }
 
 // TransformIPs remaps every generated address into the given base/mask

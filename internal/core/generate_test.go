@@ -22,9 +22,9 @@ import (
 // reseedGen puts every chunk model back on its canonical generation stream,
 // as trainChunks and the synthesizer loaders do, so repeated Generate calls
 // in a test start from identical RNG state.
-func reseedGen(models []*dgan.Model, seed int64) {
+func reseedGen(models []sampler, seed int64) {
 	for i, m := range models {
-		m.Reseed(rng.Derive(seed, genStream+int64(i)))
+		m.(*dgan.Model).Reseed(rng.Derive(seed, genStream+int64(i)))
 	}
 }
 
@@ -315,6 +315,60 @@ func TestGenerateFreshMatchesFreshLoad(t *testing.T) {
 	}
 }
 
+// TestGenerateCountsClamp: every generate entry point, on both precisions,
+// returns exactly max(n, 0) records or packets; a negative count is an
+// empty trace, not a panic.
+func TestGenerateCountsClamp(t *testing.T) {
+	cfg := condTestConfig()
+	cfg.SeedSteps, cfg.FineTuneSteps = 20, 5
+	flow, err := TrainFlowSynthesizer(labeledTrace(300, 11), datasets.CAIDAChicago(1200, 12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pkt := trainedSynthesizers(t)
+	label := flow.LabelCatalog()[0]
+	for _, prec := range []struct {
+		name string
+		flow *FlowSynthesizer
+		pkt  *PacketSynthesizer
+	}{{"float64", flow, pkt}, {"float32", flow.Fast(), pkt.Fast()}} {
+		for _, n := range []int{-5, 0, 1} {
+			want := max(n, 0)
+			flowCalls := []struct {
+				name string
+				run  func() (*trace.FlowTrace, error)
+			}{
+				{"Generate", func() (*trace.FlowTrace, error) { return prec.flow.Generate(n), nil }},
+				{"GenerateFresh", func() (*trace.FlowTrace, error) { return prec.flow.GenerateFresh(n, -1) }},
+				{"GenerateLabeled", func() (*trace.FlowTrace, error) { return prec.flow.GenerateLabeled(n, label) }},
+				{"GenerateBatch", func() (*trace.FlowTrace, error) { return prec.flow.GenerateBatch([]int{n, 2})[0], nil }},
+			}
+			for _, c := range flowCalls {
+				got, err := c.run()
+				if err != nil {
+					t.Fatalf("%s flow %s(%d): %v", prec.name, c.name, n, err)
+				}
+				if len(got.Records) != want {
+					t.Fatalf("%s flow %s(%d): %d records, want %d", prec.name, c.name, n, len(got.Records), want)
+				}
+			}
+			pktCalls := []struct {
+				name string
+				run  func() *trace.PacketTrace
+			}{
+				{"Generate", func() *trace.PacketTrace { return prec.pkt.Generate(n) }},
+				{"GenerateFresh", func() *trace.PacketTrace { return prec.pkt.GenerateFresh(n) }},
+				{"GenerateBatch", func() *trace.PacketTrace { return prec.pkt.GenerateBatch([]int{n, 2})[0] }},
+			}
+			for _, c := range pktCalls {
+				if got := c.run(); len(got.Packets) != want {
+					t.Fatalf("%s packet %s(%d): %d packets, want %d", prec.name, c.name, n, len(got.Packets), want)
+				}
+			}
+		}
+	}
+}
+
 // SHA-256 pins for TestGenerateOutputPinned. They change only when a change
 // alters trained weights or generated bytes on purpose; such a change
 // updates them and says so in CHANGES.md.
@@ -328,11 +382,11 @@ const (
 // weightsSHA256 hashes the bits of every parameter of every chunk model.
 // Generated records are integers, so a last-bit change in training can
 // leave a short trace intact; the weights cannot hide it.
-func weightsSHA256(models []*dgan.Model) string {
+func weightsSHA256(models []sampler) string {
 	h := sha256.New()
 	var b [8]byte
 	for _, m := range models {
-		for _, p := range m.Params() {
+		for _, p := range m.(*dgan.Model).Params() {
 			for _, v := range p.W.Data {
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 				h.Write(b[:])
@@ -385,4 +439,70 @@ func TestGenerateOutputPinned(t *testing.T) {
 	check("packet weights", weightsSHA256(packet.models), packetWeightsGoldenSHA256)
 	pt := packet.Generate(n)
 	check("packet Generate(250)", csvSHA256(func(b *bytes.Buffer) error { return trace.WritePacketCSV(b, pt) }), packetGoldenSHA256)
+}
+
+// SHA-256 pins for TestFastGenerateOutputPinned, recorded before the
+// float64 and float32 synthesizers shared one type; the float32 path must
+// keep emitting these bytes.
+const (
+	fastFlowBatchSHA256   = "9995d0ae1648df57480ee4d72c840b70f2b7f8dcc0c0d9623f29d5ee61ecd2fb"
+	fastFlowLabeledSHA256 = "e906ed374a83cefec9be8a5dd97f00b2b0985d594392582c714c646d508efb2e"
+	fastPacketBatchSHA256 = "d003313e7af237ce716780b45ea4ecf7b5d257d5202e893885dc5e5b5e423853"
+)
+
+// TestFastGenerateOutputPinned pins the float32 serving path's bytes the
+// way TestGenerateOutputPinned pins the float64 path's: a two-request
+// GenerateBatch of the testConfig flow and packet snapshots and a labeled
+// batch of a conditional flow snapshot, hashed as concatenated CSV. It
+// runs on amd64 only, for the reason TestGenerateOutputPinned gives.
+func TestFastGenerateOutputPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("output pins are recorded for amd64, not %s", runtime.GOARCH)
+	}
+	counts := []int{250, 97}
+	flowSHA256 := func(outs []*trace.FlowTrace) string {
+		h := sha256.New()
+		for _, out := range outs {
+			if err := trace.WriteFlowCSV(h, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s SHA-256 = %s, want %s", what, got, want)
+		}
+	}
+
+	flow, err := TrainFlowSynthesizer(datasets.UGR16(300, 31), datasets.CAIDAChicago(1200, 32), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fast flow GenerateBatch", flowSHA256(flow.Fast().GenerateBatch(counts)), fastFlowBatchSHA256)
+
+	cfg := condTestConfig()
+	cfg.SeedSteps, cfg.FineTuneSteps = 20, 5
+	cond, err := TrainFlowSynthesizer(labeledTrace(300, 11), datasets.CAIDAChicago(1200, 12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeled, err := cond.Fast().GenerateLabeledBatch(counts, cond.LabelCatalog()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fast flow GenerateLabeledBatch", flowSHA256(labeled), fastFlowLabeledSHA256)
+
+	packet, err := TrainPacketSynthesizer(datasets.CAIDA(600, 33), datasets.CAIDAChicago(1200, 34), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, out := range packet.Fast().GenerateBatch(counts) {
+		if err := trace.WritePacketCSV(h, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("fast packet GenerateBatch", fmt.Sprintf("%x", h.Sum(nil)), fastPacketBatchSHA256)
 }

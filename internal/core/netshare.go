@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -598,17 +597,6 @@ const (
 // distributed plan and the loaders all reseed chunk model i with it, so
 // the first trace generated after training equals the first after Load.
 func genSeed(cfg Config, i int) int64 { return rng.Derive(cfg.Seed, genStream+int64(i)) }
-
-// chunkStream returns the stream chunk i generates from: nil (the chunk
-// model's own RNG, which advances per call) or, when fresh, a new copy of
-// the canonical stream genSeed seeds, which makes the output equal to the
-// first generate after a load.
-func chunkStream(cfg Config, i int, fresh bool) *rand.Rand {
-	if !fresh {
-		return nil
-	}
-	return rng.New(genSeed(cfg, i))
-}
 
 func maxInt(a, b int) int {
 	if a > b {

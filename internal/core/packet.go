@@ -122,12 +122,11 @@ func (c *packetCodec) decodeFlow(s dgan.Sample, ft trace.FiveTuple) *trace.Packe
 	return f
 }
 
-// PacketSynthesizer is a trained NetShare model for PCAP traces.
+// PacketSynthesizer is a trained NetShare model for PCAP traces, sampling
+// in float64 or, after Fast, in float32 (sampler.go).
 type PacketSynthesizer struct {
-	cfg    Config
-	codec  *packetCodec
-	models []*dgan.Model
-	stats  Stats
+	chunkSamplers
+	codec *packetCodec
 }
 
 // TrainPacketSynthesizer runs the full NetShare pipeline on a packet trace.
@@ -155,7 +154,7 @@ func TrainPacketSynthesizerOpts(t *trace.PacketTrace, public *trace.PacketTrace,
 	if err != nil {
 		return nil, err
 	}
-	return &PacketSynthesizer{cfg: cfg, codec: codec, models: models, stats: stats}, nil
+	return &PacketSynthesizer{chunkSamplers: trained(cfg, models, stats), codec: codec}, nil
 }
 
 // buildPacketTraining is the deterministic preparation shared by local
@@ -215,12 +214,22 @@ func publicPacketSamples(codec *packetCodec, public *trace.PacketTrace, cfg Conf
 	return samples
 }
 
+// Fast returns the float32 serving snapshot of s; see
+// FlowSynthesizer.Fast.
+func (s *PacketSynthesizer) Fast() *PacketSynthesizer {
+	if s.fast() {
+		return s
+	}
+	return &PacketSynthesizer{chunkSamplers: s.infer(), codec: s.codec}
+}
+
 // Generate produces approximately n synthetic packets assembled into a
 // time-sorted trace. Chunk models generate concurrently (each on its own
 // canonical RNG stream) and their flows are merged in chunk order before
 // assembly, so the trace is byte-identical at every parallelism setting.
+// A negative n is 0.
 func (s *PacketSynthesizer) Generate(n int) *trace.PacketTrace {
-	return s.generate(n, false)
+	return s.generateBatch([]int{n}, false)[0]
 }
 
 // GenerateFresh is Generate as the first call on a freshly loaded copy of
@@ -229,36 +238,65 @@ func (s *PacketSynthesizer) Generate(n int) *trace.PacketTrace {
 // concurrent calls on one synthesizer are safe, and every call with the
 // same n returns the same trace.
 func (s *PacketSynthesizer) GenerateFresh(n int) *trace.PacketTrace {
-	return s.generate(n, true)
+	return s.generateBatch([]int{n}, true)[0]
 }
 
-// generate is the shared chunk fan-out; fresh selects the chunk streams
-// (chunkStream).
-func (s *PacketSynthesizer) generate(n int, fresh bool) *trace.PacketTrace {
+// GenerateBatch serves several requests' packet counts from one chunk
+// fan-out, with the same per-request chunk quotas as the flow variant. A
+// generated flow straddling two requests' shares is split at the packet
+// boundary (both halves keep the five-tuple), so every request receives
+// exactly its count.
+func (s *PacketSynthesizer) GenerateBatch(counts []int) []*trace.PacketTrace {
+	return s.generateBatch(counts, false)
+}
+
+// generateBatch is the shared chunk fan-out; fresh selects the chunk
+// streams (chunkSamplers.stream).
+func (s *PacketSynthesizer) generateBatch(counts []int, fresh bool) []*trace.PacketTrace {
 	defer telGeneratePhase.Start().Stop()
-	perChunk := splitCounts(n, s.stats.ChunkSamples)
+	quotas, totals := s.quotas(counts)
 	chunkFlows := make([][]*trace.PacketFlow, len(s.models))
 	forEachChunk(s.cfg, len(s.models), func(i int) {
-		chunkFlows[i] = s.generateChunk(s.models[i], chunkStream(s.cfg, i, fresh), perChunk[i])
+		chunkFlows[i] = s.generateChunk(s.models[i], s.stream(i, fresh), totals[i])
 	})
-	var flows []*trace.PacketFlow
-	for _, fs := range chunkFlows {
-		flows = append(flows, fs...)
+	perReq := make([][]*trace.PacketFlow, len(counts))
+	for i, flows := range chunkFlows {
+		fi, pi := 0, 0
+		for ri := range counts {
+			need := quotas[ri][i]
+			for need > 0 && fi < len(flows) {
+				f := flows[fi]
+				take := min(len(f.Packets)-pi, need)
+				perReq[ri] = append(perReq[ri], &trace.PacketFlow{
+					Tuple:   f.Tuple,
+					Packets: f.Packets[pi : pi+take],
+				})
+				need -= take
+				pi += take
+				if pi == len(f.Packets) {
+					fi, pi = fi+1, 0
+				}
+			}
+		}
 	}
-	return trace.AssemblePackets(flows)
+	outs := make([]*trace.PacketTrace, len(counts))
+	for ri := range outs {
+		outs[ri] = trace.AssemblePackets(perReq[ri])
+	}
+	return outs
 }
 
 // generateChunk fills one chunk's packet budget from stream r (nil: the
-// model's own RNG), requesting whole generation lots, decoding them as
+// sampler's own RNG), requesting whole generation lots, decoding them as
 // GenerateEach delivers them and stopping once the budget is met.
-func (s *PacketSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget int) []*trace.PacketFlow {
+func (s *PacketSynthesizer) generateChunk(m sampler, r *rand.Rand, budget int) []*trace.PacketFlow {
 	if budget <= 0 {
 		return nil
 	}
 	var flows []*trace.PacketFlow
 	for budget > 0 {
 		// Unlabeled generation cannot fail.
-		_ = m.GenerateEach(r, fullLots(budget, m.Config.Batch), -1, func(batch []dgan.Sample) bool {
+		_ = m.GenerateEach(r, fullLots(budget, m.LotSize()), -1, func(batch []dgan.Sample) bool {
 			tuples := decodeTuples(s.codec.embed, s.codec.ipEmbed, batch)
 			for bi, sample := range batch {
 				f := s.codec.decodeFlow(sample, tuples[bi])
@@ -275,19 +313,6 @@ func (s *PacketSynthesizer) generateChunk(m *dgan.Model, r *rand.Rand, budget in
 		})
 	}
 	return flows
-}
-
-// Stats returns the training cost report.
-func (s *PacketSynthesizer) Stats() Stats { return s.stats }
-
-// SetParallelism retargets the generation (and any further training) worker
-// count of every chunk model: 0 = NumCPU, 1 = serial. Output is bitwise
-// independent of the setting.
-func (s *PacketSynthesizer) SetParallelism(n int) {
-	s.cfg.Parallelism = n
-	for _, m := range s.models {
-		m.SetParallelism(n)
-	}
 }
 
 // Headers materializes valid IPv4 headers (with checksums) for every

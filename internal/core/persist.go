@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"repro/internal/container"
-	"repro/internal/dgan"
 	"repro/internal/encoding"
 	"repro/internal/ip2vec"
 )
@@ -117,10 +116,12 @@ func saveContainer(w io.Writer, kind container.Kind, wire any) error {
 }
 
 // loadContainer reads a full container frame from r, validates it, and
-// gob-decodes the payload into wire. The gob decoder only ever sees
-// CRC-verified bytes; a panic anywhere below (a malformed gob stream
-// that slips past the CRC, e.g. hand-crafted) is converted to an error.
-func loadContainer(r io.Reader, kind container.Kind, wire any) (err error) {
+// gob-decodes the payload into wire. The frame must be of the trace kind's
+// float64 kind ref or float32 kind fast, and fast reports which. The gob
+// decoder only ever sees CRC-verified bytes; a panic anywhere below (a
+// malformed gob stream that slips past the CRC, e.g. hand-crafted) is
+// converted to an error.
+func loadContainer(r io.Reader, ref, fastKind container.Kind, wire any) (fast bool, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("core: load synthesizer: decoder panicked on malformed input: %v", rec)
@@ -128,16 +129,19 @@ func loadContainer(r io.Reader, kind container.Kind, wire any) (err error) {
 	}()
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return fmt.Errorf("core: read synthesizer: %w", err)
+		return false, fmt.Errorf("core: read synthesizer: %w", err)
 	}
-	payload, err := container.DecodeKind(data, kind)
+	kind, payload, err := container.Decode(data)
 	if err != nil {
-		return fmt.Errorf("core: load synthesizer: %w", err)
+		return false, fmt.Errorf("core: load synthesizer: %w", err)
+	}
+	if kind != ref && kind != fastKind {
+		return false, fmt.Errorf("core: load synthesizer: %w: got %s, want %s or %s", container.ErrWrongKind, kind, ref, fastKind)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(wire); err != nil {
-		return fmt.Errorf("core: load synthesizer: %w", err)
+		return false, fmt.Errorf("core: load synthesizer: %w", err)
 	}
-	return nil
+	return kind == fastKind, nil
 }
 
 // validateModels cross-checks the persisted chunk models against the
@@ -153,7 +157,14 @@ func validateModels(models [][]byte, cfg Config) error {
 	return nil
 }
 
-// flowSynWire is the gob wire form of a FlowSynthesizer.
+// errAblationSave refuses to persist the IPVectorEncoding ablation (its
+// private dictionary exists only to quantify Table 2's tradeoff).
+var errAblationSave = fmt.Errorf("core: IPVectorEncoding models are ablation-only and cannot be persisted")
+
+// flowSynWire is the gob wire form of a FlowSynthesizer of either
+// precision: Models holds dgan.Model gob blobs or dgan infer-format
+// snapshots, as the container kind says. Gob writes the type name into
+// the stream, so renaming it changes every saved container's bytes.
 type flowSynWire struct {
 	Config Config
 	Stats  Stats
@@ -165,12 +176,12 @@ type flowSynWire struct {
 	Models [][]byte
 }
 
-// Save serializes the trained synthesizer to w as a flow-model
-// container. The IPVectorEncoding ablation mode is not persistable (its
-// private dictionary exists only to quantify Table 2's tradeoff).
+// Save serializes the synthesizer to w as a flow-model container, or a
+// flow-fast container when it samples in float32. The IPVectorEncoding
+// ablation mode is not persistable.
 func (s *FlowSynthesizer) Save(w io.Writer) error {
 	if s.codec.ipEmbed != nil {
-		return fmt.Errorf("core: IPVectorEncoding models are ablation-only and cannot be persisted")
+		return errAblationSave
 	}
 	wire := flowSynWire{Config: s.cfg, Stats: s.stats}
 	var err error
@@ -189,23 +200,21 @@ func (s *FlowSynthesizer) Save(w io.Writer) error {
 	if wire.Byt, err = captureRange(s.codec.bytNorm); err != nil {
 		return err
 	}
-	for _, m := range s.models {
-		enc, err := m.Encode()
-		if err != nil {
-			return err
-		}
-		wire.Models = append(wire.Models, enc)
+	if wire.Models, err = s.encodeModels(); err != nil {
+		return err
 	}
-	return saveContainer(w, container.KindFlowModel, wire)
+	return saveContainer(w, s.kind(container.KindFlowModel, container.KindFlowFast), wire)
 }
 
-// LoadFlowSynthesizer deserializes a synthesizer produced by Save,
-// validating the container frame and the decoded state (model count vs
-// Config.Chunks, finite non-inverted normalizer ranges) before any model
-// weights are trusted.
+// LoadFlowSynthesizer deserializes a synthesizer produced by Save, from a
+// flow-model or flow-fast container, validating the container frame and
+// the decoded state (model count vs Config.Chunks, finite non-inverted
+// normalizer ranges) before any model weights are trusted; float32 weight
+// blobs additionally go through DecodeInferWeights' typed validation.
 func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 	var wire flowSynWire
-	if err := loadContainer(r, container.KindFlowModel, &wire); err != nil {
+	fast, err := loadContainer(r, container.KindFlowModel, container.KindFlowFast, &wire)
+	if err != nil {
 		return nil, err
 	}
 	if err := validateModels(wire.Models, wire.Config); err != nil {
@@ -234,21 +243,15 @@ func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 	codec.pktNorm.RestoreRange(wire.Pkt.Lo, wire.Pkt.Hi)
 	codec.bytNorm.RestoreRange(wire.Byt.Lo, wire.Byt.Hi)
 
-	s := &FlowSynthesizer{cfg: wire.Config, codec: codec, stats: wire.Stats}
-	for i, enc := range wire.Models {
-		m, err := dgan.DecodeModel(enc)
-		if err != nil {
-			return nil, err
-		}
-		// Same canonical generation stream as trainChunks, so a loaded
-		// model's first Generate matches the freshly trained one's.
-		m.Reseed(genSeed(wire.Config, i))
-		s.models = append(s.models, m)
+	chunks, err := loadSamplers(wire.Models, wire.Config, wire.Stats, fast)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &FlowSynthesizer{chunkSamplers: chunks, codec: codec}, nil
 }
 
-// packetSynWire is the gob wire form of a PacketSynthesizer.
+// packetSynWire is the gob wire form of a PacketSynthesizer of either
+// precision; see flowSynWire.
 type packetSynWire struct {
 	Config Config
 	Stats  Stats
@@ -258,11 +261,12 @@ type packetSynWire struct {
 	Models [][]byte
 }
 
-// Save serializes the trained synthesizer to w as a packet-model
-// container. The IPVectorEncoding ablation mode is not persistable.
+// Save serializes the synthesizer to w as a packet-model container, or a
+// packet-fast container when it samples in float32. The IPVectorEncoding
+// ablation mode is not persistable.
 func (s *PacketSynthesizer) Save(w io.Writer) error {
 	if s.codec.ipEmbed != nil {
-		return fmt.Errorf("core: IPVectorEncoding models are ablation-only and cannot be persisted")
+		return errAblationSave
 	}
 	wire := packetSynWire{Config: s.cfg, Stats: s.stats}
 	var err error
@@ -275,21 +279,19 @@ func (s *PacketSynthesizer) Save(w io.Writer) error {
 	if wire.Size, err = captureRange(s.codec.sizeNorm); err != nil {
 		return err
 	}
-	for _, m := range s.models {
-		enc, err := m.Encode()
-		if err != nil {
-			return err
-		}
-		wire.Models = append(wire.Models, enc)
+	if wire.Models, err = s.encodeModels(); err != nil {
+		return err
 	}
-	return saveContainer(w, container.KindPacketMdl, wire)
+	return saveContainer(w, s.kind(container.KindPacketMdl, container.KindPacketFast), wire)
 }
 
-// LoadPacketSynthesizer deserializes a synthesizer produced by Save,
-// with the same frame and state validation as LoadFlowSynthesizer.
+// LoadPacketSynthesizer deserializes a synthesizer produced by Save, from
+// a packet-model or packet-fast container, with the same frame and state
+// validation as LoadFlowSynthesizer.
 func LoadPacketSynthesizer(r io.Reader) (*PacketSynthesizer, error) {
 	var wire packetSynWire
-	if err := loadContainer(r, container.KindPacketMdl, &wire); err != nil {
+	fast, err := loadContainer(r, container.KindPacketMdl, container.KindPacketFast, &wire)
+	if err != nil {
 		return nil, err
 	}
 	if err := validateModels(wire.Models, wire.Config); err != nil {
@@ -309,14 +311,9 @@ func LoadPacketSynthesizer(r io.Reader) (*PacketSynthesizer, error) {
 	codec.timeNorm.RestoreRange(wire.Time.Lo, wire.Time.Hi)
 	codec.sizeNorm.RestoreRange(wire.Size.Lo, wire.Size.Hi)
 
-	s := &PacketSynthesizer{cfg: wire.Config, codec: codec, stats: wire.Stats}
-	for i, enc := range wire.Models {
-		m, err := dgan.DecodeModel(enc)
-		if err != nil {
-			return nil, err
-		}
-		m.Reseed(genSeed(wire.Config, i))
-		s.models = append(s.models, m)
+	chunks, err := loadSamplers(wire.Models, wire.Config, wire.Stats, fast)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &PacketSynthesizer{chunkSamplers: chunks, codec: codec}, nil
 }

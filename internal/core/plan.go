@@ -167,7 +167,7 @@ func (p *FlowPlan) Assemble(encoded [][]byte) (*FlowSynthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FlowSynthesizer{cfg: p.cfg, codec: p.codec, models: models, stats: st}, nil
+	return &FlowSynthesizer{chunkSamplers: trained(p.cfg, models, st), codec: p.codec}, nil
 }
 
 // PacketPlan is a distributed training plan for PCAP traces.
@@ -197,5 +197,5 @@ func (p *PacketPlan) Assemble(encoded [][]byte) (*PacketSynthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PacketSynthesizer{cfg: p.cfg, codec: p.codec, models: models, stats: st}, nil
+	return &PacketSynthesizer{chunkSamplers: trained(p.cfg, models, st), codec: p.codec}, nil
 }

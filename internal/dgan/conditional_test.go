@@ -60,7 +60,7 @@ func TestConditionalTrainAndGenerate(t *testing.T) {
 	if _, err := m.Train(samples, 4); err != nil {
 		t.Fatal(err)
 	}
-	w := m.LabelWeights()
+	w := m.LabelDistribution()
 	if len(w) != 3 {
 		t.Fatalf("label weights %v, want 3 entries", w)
 	}
@@ -150,8 +150,8 @@ func TestConditionalEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m.LabelWeights(), m2.LabelWeights()) {
-		t.Fatalf("label weights lost: %v vs %v", m.LabelWeights(), m2.LabelWeights())
+	if !reflect.DeepEqual(m.LabelDistribution(), m2.LabelDistribution()) {
+		t.Fatalf("label weights lost: %v vs %v", m.LabelDistribution(), m2.LabelDistribution())
 	}
 	m.Reseed(99)
 	m2.Reseed(99)

@@ -245,14 +245,18 @@ func (m *Model) noise(batch, dim int) *mat.Matrix {
 // vector.
 func (m *Model) Conditional() bool { return m.condW > 0 }
 
-// LabelWeights returns a copy of the fitted scenario-label distribution
-// (nil before training or on unconditional models).
-func (m *Model) LabelWeights() []float64 {
+// LabelDistribution returns a copy of the fitted scenario-label
+// distribution (nil before training or on unconditional models).
+func (m *Model) LabelDistribution() []float64 {
 	if m.labelWeights == nil {
 		return nil
 	}
 	return append([]float64(nil), m.labelWeights...)
 }
+
+// LotSize returns the generation lot size, Config.Batch: lot boundaries
+// follow the training batch so the float64 output is pinned bit for bit.
+func (m *Model) LotSize() int { return m.Config.Batch }
 
 // drawLabel samples a scenario label from the fitted training
 // distribution (uniform before fitting) using one uniform draw.

@@ -35,6 +35,7 @@ type genScratch struct {
 	proj   *mat.Matrix // lot × featW projected step output
 	alive  []bool
 	labels []int
+	schema []nn.FieldSpec // the model's feature schema with the presence flag
 }
 
 // growBuf returns b viewed at rows×cols, reallocating when too small.
@@ -77,18 +78,20 @@ func (m *Model) Generate(n int) []Sample {
 // given scenario label. It fails on unconditional models and out-of-range
 // labels.
 func (m *Model) GenerateLabeled(n, label int) ([]Sample, error) {
-	if err := m.checkLabel(label); err != nil {
+	if err := checkLabel(m.condW, label); err != nil {
 		return nil, err
 	}
 	return m.generate(m.rng, n, label), nil
 }
 
-func (m *Model) checkLabel(label int) error {
-	if m.condW == 0 {
+// checkLabel validates a pinned label against a conditioning width
+// (0 = unconditional).
+func checkLabel(labels, label int) error {
+	if labels == 0 {
 		return fmt.Errorf("dgan: GenerateLabeled on an unconditional model")
 	}
-	if label < 0 || label >= m.condW {
-		return fmt.Errorf("dgan: label %d out of range 0..%d", label, m.condW-1)
+	if label < 0 || label >= labels {
+		return fmt.Errorf("dgan: label %d out of range 0..%d", label, labels-1)
 	}
 	return nil
 }
@@ -109,24 +112,14 @@ func (m *Model) GenerateEach(r *rand.Rand, n, label int, fn func([]Sample) bool)
 		r = m.rng
 	}
 	if label >= 0 {
-		if err := m.checkLabel(label); err != nil {
+		if err := checkLabel(m.condW, label); err != nil {
 			return err
 		}
 	}
 	if n <= 0 {
 		return nil
 	}
-	base := r.Int63()
-	lot := m.Config.Batch
-	window := eachLots * m.Config.workers() * lot
-	buf := make([]Sample, min(window, n))
-	for lo := 0; lo < n; lo += window {
-		span := buf[:min(window, n-lo)]
-		m.fillLots(base, lo/lot, span, label)
-		if !fn(span) {
-			break
-		}
-	}
+	generateEach[*genScratch](m, r.Int63(), n, m.Config.Batch, m.Config.workers(), label, fn)
 	return nil
 }
 
@@ -148,33 +141,53 @@ func (m *Model) generate(r *rand.Rand, n, label int) []Sample {
 	// parallelism levels and across a save/load round trip.
 	base := r.Int63()
 	out := make([]Sample, n)
-	m.fillLots(base, 0, out, label)
+	fillLots[*genScratch](m, base, 0, out, m.Config.Batch, m.Config.workers(), label)
 	return out
+}
+
+// lotGen is a generator the lot fan-out drives — the float64 Model or the
+// float32 InferModel — with S its per-worker scratch type.
+type lotGen[S any] interface {
+	scratch() S
+	release(S)
+	// generateLot fills out (one lot) from r, the lot's private stream.
+	generateLot(r *rand.Rand, out []Sample, sc S, label int)
+}
+
+// generateEach fills n samples of the stream based at base in windows of
+// eachLots lots per worker, handing each window to fn until it returns
+// false. The windows reuse one buffer.
+func generateEach[S any](g lotGen[S], base int64, n, lot, workers, label int, fn func([]Sample) bool) {
+	window := eachLots * workers * lot
+	buf := make([]Sample, min(window, n))
+	for lo := 0; lo < n; lo += window {
+		span := buf[:min(window, n-lo)]
+		fillLots(g, base, lo/lot, span, lot, workers, label)
+		if !fn(span) {
+			return
+		}
+	}
 }
 
 // fillLots is the lot fan-out: it fills out with consecutive lots of the
 // stream based at base, the first of them lot index first, spread across
-// the configured workers. A lot's content depends only on (weights, base,
-// lot index), so the result is the same for any worker count and for any
-// way a caller slices the lot sequence.
-func (m *Model) fillLots(base int64, first int, out []Sample, label int) {
+// up to workers goroutines. A lot's content depends only on (weights,
+// base, lot index), so the result is the same for any worker count and for
+// any way a caller slices the lot sequence.
+func fillLots[S any](g lotGen[S], base int64, first int, out []Sample, lot, workers, label int) {
 	n := len(out)
-	lot := m.Config.Batch
 	numLots := (n + lot - 1) / lot
-	schema := m.featSchema()
-
 	runSpan := func(loLot, hiLot int) {
-		sc := m.genScratch()
-		defer m.putGenScratch(sc)
+		sc := g.scratch()
+		defer g.release(sc)
 		for j := loLot; j < hiLot; j++ {
 			lo := j * lot
-			hi := min(lo+lot, n)
 			r := rng.New(rng.Derive(base, int64(first+j)))
-			m.generateLot(r, out[lo:hi], schema, sc, label)
+			g.generateLot(r, out[lo:min(lo+lot, n)], sc, label)
 		}
 	}
 
-	workers := min(m.Config.workers(), numLots)
+	workers = min(workers, numLots)
 	if workers <= 1 {
 		runSpan(0, numLots)
 		return
@@ -201,10 +214,11 @@ func (m *Model) fillLots(base int64, first int, out []Sample, label int) {
 // worker ran it. The GRU unroll stops as soon as every row in the lot has
 // terminated, not at MaxLen; termination is decided by the forward outputs,
 // which are deterministic per lot, so early exit preserves determinism.
-func (m *Model) generateLot(r *rand.Rand, out []Sample, schema []nn.FieldSpec, sc *genScratch, label int) {
+func (m *Model) generateLot(r *rand.Rand, out []Sample, sc *genScratch, label int) {
 	cfg := m.Config
 	batch := len(out)
 	sc.ensure(batch, cfg.NoiseDim, m.condW, m.metaW, cfg.Hidden, m.featW)
+	schema := sc.schema
 
 	// Conditional lots fix each row's label before any noise is drawn: a
 	// pinned label takes no draws, a mixture draw takes one uniform per
@@ -285,14 +299,14 @@ func (m *Model) generateLot(r *rand.Rand, out []Sample, schema []nn.FieldSpec, s
 	telStepsSaved.Add(int64(cfg.MaxLen - depth))
 }
 
-// genScratch pops a scratch holder off the model's pool (or builds a fresh
-// one); putGenScratch returns it. Scratch holds no weights, only buffers, so
-// any holder works with any lot.
-func (m *Model) genScratch() *genScratch {
+// scratch pops a scratch holder off the model's pool (or builds a fresh
+// one); release returns it. Scratch holds no weights, only buffers and the
+// model's feature schema, so any holder works with any lot.
+func (m *Model) scratch() *genScratch {
 	if sc, ok := m.genPool.Get().(*genScratch); ok {
 		return sc
 	}
-	return &genScratch{}
+	return &genScratch{schema: m.featSchema()}
 }
 
-func (m *Model) putGenScratch(sc *genScratch) { m.genPool.Put(sc) }
+func (m *Model) release(sc *genScratch) { m.genPool.Put(sc) }

@@ -173,13 +173,3 @@ func BenchmarkGenerate(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkGenerateBaseline(b *testing.B) {
-	m := genTestModel(b, 1)
-	m.Reseed(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.GenerateBaseline(256)
-	}
-}

@@ -1,13 +1,11 @@
 package dgan
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/nn"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
 
@@ -156,10 +154,10 @@ func (sc *inferScratch) ensure(lot, noiseDim, condW, metaW, hidden, featW int) {
 }
 
 // Generate produces n synthetic samples on the fast path. The lot fan-out
-// mirrors Model.Generate: one base draw off the canonical RNG per call,
-// each lot on its own derived stream writing a disjoint span, so repeated
-// calls from a fixed seed are reproducible at any Parallelism. On
-// conditional snapshots each sample's label is drawn from LabelWeights.
+// is Model.Generate's: one base draw off the canonical RNG per call, each
+// lot on its own derived stream writing a disjoint span, so repeated calls
+// from a fixed seed are reproducible at any Parallelism. On conditional
+// snapshots each sample's label is drawn from LabelWeights.
 func (im *InferModel) Generate(n int) []Sample {
 	return im.generate(n, -1)
 }
@@ -168,63 +166,60 @@ func (im *InferModel) Generate(n int) []Sample {
 // scenario label. It fails on unconditional snapshots and out-of-range
 // labels.
 func (im *InferModel) GenerateLabeled(n, label int) ([]Sample, error) {
-	if im.Labels == 0 {
-		return nil, fmt.Errorf("dgan: GenerateLabeled on an unconditional snapshot")
-	}
-	if label < 0 || label >= im.Labels {
-		return nil, fmt.Errorf("dgan: label %d out of range 0..%d", label, im.Labels-1)
+	if err := checkLabel(im.Labels, label); err != nil {
+		return nil, err
 	}
 	return im.generate(n, label), nil
+}
+
+// GenerateEach has Model.GenerateEach's contract on the float32 path: it
+// delivers the samples Generate (label -1) or GenerateLabeled (label >= 0)
+// would return, in windows of whole lots, with the lot-base draw taken
+// from r (nil: the snapshot's own RNG, under its mutex), and stops once fn
+// returns false. fn must not retain the window, which later windows reuse.
+func (im *InferModel) GenerateEach(r *rand.Rand, n, label int, fn func([]Sample) bool) error {
+	if label >= 0 {
+		if err := checkLabel(im.Labels, label); err != nil {
+			return err
+		}
+	}
+	if n <= 0 {
+		return nil
+	}
+	generateEach[*inferScratch](im, im.base(r), n, im.Lot, im.workers(), label, fn)
+	return nil
 }
 
 func (im *InferModel) generate(n, label int) []Sample {
 	if n <= 0 {
 		return nil
 	}
-	im.mu.Lock()
-	base := im.rng.Int63()
-	im.mu.Unlock()
-	lot := im.Lot
-	numLots := (n + lot - 1) / lot
 	out := make([]Sample, n)
-
-	runSpan := func(loLot, hiLot int) {
-		sc := im.getScratch()
-		defer im.pool.Put(sc)
-		for j := loLot; j < hiLot; j++ {
-			lo := j * lot
-			hi := lo + lot
-			if hi > n {
-				hi = n
-			}
-			r := rng.New(rng.Derive(base, int64(j)))
-			im.generateLot(r, out[lo:hi], sc, label)
-		}
-	}
-
-	workers := im.workers()
-	if workers > numLots {
-		workers = numLots
-	}
-	if workers <= 1 {
-		runSpan(0, numLots)
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*numLots/workers, (w+1)*numLots/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			runSpan(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	fillLots[*inferScratch](im, im.base(nil), 0, out, im.Lot, im.workers(), label)
 	return out
 }
+
+// base takes one call's lot-stream base from r, or from the snapshot's own
+// RNG when r is nil.
+func (im *InferModel) base(r *rand.Rand) int64 {
+	if r != nil {
+		return r.Int63()
+	}
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	return im.rng.Int63()
+}
+
+// LabelDistribution returns the fitted scenario-label distribution
+// (LabelWeights; nil on unconditional snapshots).
+func (im *InferModel) LabelDistribution() []float64 { return im.LabelWeights }
+
+// LotSize returns the generation lot size (Lot).
+func (im *InferModel) LotSize() int { return im.Lot }
+
+// Encode is EncodeInfer in Model.Encode's shape, so both precisions
+// persist through one interface.
+func (im *InferModel) Encode() ([]byte, error) { return im.EncodeInfer(), nil }
 
 // generateLot fills one lot of samples from r, the lot's private stream.
 // The draw order matches the reference path — meta noise, meta sampling
@@ -325,9 +320,11 @@ func randNorm32(z *mat.Matrix32, r *rand.Rand) {
 	}
 }
 
-func (im *InferModel) getScratch() *inferScratch {
+func (im *InferModel) scratch() *inferScratch {
 	if sc, ok := im.pool.Get().(*inferScratch); ok {
 		return sc
 	}
 	return &inferScratch{}
 }
+
+func (im *InferModel) release(sc *inferScratch) { im.pool.Put(sc) }

@@ -2,6 +2,7 @@ package dgan
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -175,4 +176,51 @@ func FuzzDecodeInferWeights(f *testing.F) {
 			t.Fatal("accepted input must re-encode byte-identically")
 		}
 	})
+}
+
+// TestInferGenerateEachMatchesGenerate: the float32 streamed path keeps
+// Model.GenerateEach's contract — the samples Generate returns, in order,
+// over several windows, one base draw from the snapshot's RNG for a nil
+// stream, and none for an explicit one.
+func TestInferGenerateEachMatchesGenerate(t *testing.T) {
+	const n = 2100 // several windows at either worker count; not a lot multiple
+	for _, p := range []int{1, 2} {
+		im := inferTestModel(t)
+		im.SetParallelism(p)
+		im.Reseed(99)
+		want := im.Generate(n)
+		wantNext := im.Generate(5)
+
+		each := func(r *rand.Rand) (got []Sample, calls int) {
+			if err := im.GenerateEach(r, n, -1, func(batch []Sample) bool {
+				calls++
+				for _, s := range batch {
+					got = append(got, cloneSample(s))
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return got, calls
+		}
+		im.Reseed(99)
+		got, calls := each(nil)
+		if calls < 2 {
+			t.Fatalf("parallelism %d: %d consumer calls, want several windows", p, calls)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: GenerateEach samples differ from Generate", p)
+		}
+		if !reflect.DeepEqual(wantNext, im.Generate(5)) {
+			t.Fatalf("parallelism %d: GenerateEach advanced the RNG differently from Generate", p)
+		}
+
+		im.Reseed(99)
+		if got, _ := each(rand.New(rand.NewSource(99))); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: an explicit stream must draw what the snapshot's RNG would", p)
+		}
+		if !reflect.DeepEqual(want, im.Generate(n)) {
+			t.Fatalf("parallelism %d: an explicit stream must leave the snapshot's RNG alone", p)
+		}
+	}
 }

@@ -23,11 +23,12 @@ import (
 //     GenerateFresh, which draws from new copies of the canonical chunk
 //     streams per request, so the bytes equal what a freshly loaded model
 //     would emit and requests may run concurrently on the one synthesizer;
-//   - "fast": true routes through a float32 snapshot, built from that same
-//     synthesizer on first fast use, and a cross-request batch scheduler:
-//     concurrent generate calls for the same model coalesce into ONE
-//     batched forward fan-out (core.Fast*Synthesizer.GenerateBatch), each
-//     request receiving its proportional per-chunk share.
+//   - "fast": true routes through the synthesizer's float32 snapshot
+//     (core's Fast, the same synthesizer type on float32 samplers), built
+//     on first fast use, and a cross-request batch scheduler: concurrent
+//     generate calls for the same model coalesce into ONE batched forward
+//     fan-out (GenerateBatch), each request receiving its proportional
+//     per-chunk share.
 //
 // The handler still reads and CRC-checks the container through the
 // registry on every request; only a checksum the entry does not match
@@ -74,11 +75,21 @@ type fastWait struct {
 	done  chan struct{}
 }
 
+// served reports whether w's batch has completed.
+func (w *fastWait) served() bool {
+	select {
+	case <-w.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // fastEntry is one stored model's cached decode plus its fast-path batch
-// scheduler state. For reference containers ref* holds the decoded float64
-// synthesizer and the float32 snapshot is built from it on first fast use;
-// fast containers decode straight into the snapshot. Exactly one of
-// flow/pkt is set once snapshot has run.
+// scheduler state. Exactly one of flow/pkt holds the decoded synthesizer,
+// of whichever precision the container stored; its float32 snapshot
+// (fastFlow/fastPkt, the synthesizer itself for fast containers) is taken
+// on first fast use.
 type fastEntry struct {
 	name string
 	// sum is the manifest checksum of the container the entry was decoded
@@ -86,12 +97,12 @@ type fastEntry struct {
 	// model was overwritten) decodes a new entry.
 	sum uint32
 
-	refFlow *core.FlowSynthesizer
-	refPkt  *core.PacketSynthesizer
+	flow *core.FlowSynthesizer
+	pkt  *core.PacketSynthesizer
 
 	snapOnce sync.Once
-	flow     *core.FastFlowSynthesizer
-	pkt      *core.FastPacketSynthesizer
+	fastFlow *core.FlowSynthesizer
+	fastPkt  *core.PacketSynthesizer
 
 	mu      sync.Mutex
 	pending []*fastWait
@@ -102,16 +113,15 @@ type fastEntry struct {
 	dead bool
 }
 
-// snapshot builds the float32 snapshot from the float64 synthesizer on
-// first use (a no-op for fast containers). Every fast request calls it
-// before enqueueing, so the batch runner always sees flow/pkt set.
+// snapshot takes the float32 snapshot on first use. Every fast request
+// calls it before enqueueing, so the batch runner always sees
+// fastFlow/fastPkt set.
 func (e *fastEntry) snapshot() {
 	e.snapOnce.Do(func() {
-		switch {
-		case e.refFlow != nil:
-			e.flow = e.refFlow.Fast()
-		case e.refPkt != nil:
-			e.pkt = e.refPkt.Fast()
+		if e.flow != nil {
+			e.fastFlow = e.flow.Fast()
+		} else {
+			e.fastPkt = e.pkt.Fast()
 		}
 	})
 }
@@ -195,15 +205,11 @@ func (s *Server) modelEntry(name string, framed []byte, info registry.ModelInfo)
 	telModelCacheMiss.Inc()
 	entry = &fastEntry{name: name, sum: info.Checksum}
 	r := bytes.NewReader(framed)
-	switch info.Kind {
+	switch strings.TrimSuffix(info.Kind, "-fast") {
 	case "flow":
-		entry.refFlow, err = core.LoadFlowSynthesizer(r)
-	case "flow-fast":
-		entry.flow, err = core.LoadFastFlowSynthesizer(r)
+		entry.flow, err = core.LoadFlowSynthesizer(r)
 	case "packet":
-		entry.refPkt, err = core.LoadPacketSynthesizer(r)
-	case "packet-fast":
-		entry.pkt, err = core.LoadFastPacketSynthesizer(r)
+		entry.pkt, err = core.LoadPacketSynthesizer(r)
 	default:
 		return nil, false, fmt.Errorf("model %q has unknown kind %q", name, info.Kind)
 	}
@@ -268,11 +274,12 @@ func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, entry *fa
 		}
 		entry.mu.Unlock()
 
-		// First arriver becomes the runner and drains the queue; requests
-		// landing while a batch is in flight are picked up by the next
-		// drain and coalesce into one forward fan-out.
+		// First arriver becomes the runner and drains the queue until its
+		// own batch is done; requests landing while a batch is in flight
+		// are picked up by the next drain and coalesce into one forward
+		// fan-out.
 		if runner {
-			s.runFastBatches(entry)
+			s.runFastBatches(entry, wait)
 		}
 		<-wait.done
 		if errors.Is(wait.err, errFastEvicted) {
@@ -303,13 +310,24 @@ func (s *Server) serveFastGenerate(w http.ResponseWriter, name string, entry *fa
 // GenerateBatch per drain, until the queue is empty. A batch only
 // coalesces requests pinned to the same scenario label (the conditioning
 // vector is per-forward-pass, not per-row); waiters for other labels
-// stay queued and are drained by subsequent iterations.
-func (s *Server) runFastBatches(entry *fastEntry) {
+// stay queued and are drained by subsequent iterations. Once own (the
+// runner's request, nil for a drain goroutine) is served, the rest of the
+// drain moves to a goroutine, so the runner's response never waits behind
+// later arrivals' batches.
+func (s *Server) runFastBatches(entry *fastEntry, own *fastWait) {
 	for {
 		entry.mu.Lock()
 		if len(entry.pending) == 0 {
 			entry.running = false
 			entry.mu.Unlock()
+			return
+		}
+		if own != nil && own.served() {
+			// The scheduler slot (running stays true) passes to a drain
+			// goroutine, which exits once the queue is empty or the entry
+			// dies.
+			entry.mu.Unlock()
+			go s.runFastBatches(entry, nil)
 			return
 		}
 		label := entry.pending[0].label
@@ -364,11 +382,11 @@ func (s *Server) serveFastBatch(entry *fastEntry, batch []*fastWait, label int) 
 	for i, w := range batch {
 		counts[i] = w.count
 	}
-	if entry.flow != nil {
+	if entry.fastFlow != nil {
 		var outs []*trace.FlowTrace
 		if label >= 0 {
 			var err error
-			if outs, err = entry.flow.GenerateLabeledBatch(counts, trace.Label(label)); err != nil {
+			if outs, err = entry.fastFlow.GenerateLabeledBatch(counts, trace.Label(label)); err != nil {
 				// Pre-validated at enqueue, so this is defensive: fail the
 				// batch without poisoning the snapshot.
 				for _, w := range batch {
@@ -378,14 +396,14 @@ func (s *Server) serveFastBatch(entry *fastEntry, batch []*fastWait, label int) 
 				return true
 			}
 		} else {
-			outs = entry.flow.GenerateBatch(counts)
+			outs = entry.fastFlow.GenerateBatch(counts)
 		}
 		for i, w := range batch {
 			w.flow = outs[i]
 			close(w.done)
 		}
 	} else {
-		outs := entry.pkt.GenerateBatch(counts)
+		outs := entry.fastPkt.GenerateBatch(counts)
 		for i, w := range batch {
 			w.pkt = outs[i]
 			close(w.done)

@@ -81,6 +81,62 @@ func TestFastServing(t *testing.T) {
 		}
 	})
 
+	t.Run("RunnerAnswersBeforeLaterBatches", func(t *testing.T) {
+		// Regression: the first arriver runs the scheduler, and once its own
+		// batch is done its response must not wait for the batches that
+		// queued behind it.
+		var mu sync.Mutex
+		calls := 0
+		firstIn, releaseFirst := make(chan struct{}), make(chan struct{})
+		secondIn, releaseSecond := make(chan struct{}), make(chan struct{})
+		api.fastHook = func(name string, batchSize int) {
+			mu.Lock()
+			calls++
+			n := calls
+			mu.Unlock()
+			switch n {
+			case 1:
+				close(firstIn)
+				<-releaseFirst
+			case 2:
+				close(secondIn)
+				<-releaseSecond
+			}
+		}
+		defer func() { api.fastHook = nil }()
+
+		first, second := make(chan int, 1), make(chan int, 1)
+		go func() {
+			code, _ := generate(t, ts, model, GenerateRequest{Count: 20, Fast: true})
+			first <- code
+		}()
+		<-firstIn // request 0 runs the scheduler and is mid-batch
+		go func() {
+			code, _ := generate(t, ts, model, GenerateRequest{Count: 20, Fast: true})
+			second <- code
+		}()
+		waitPending(t, api, model, 1)
+		close(releaseFirst)
+		select {
+		case <-secondIn: // the next batch is running and stays blocked
+		case <-time.After(20 * time.Second):
+			t.Fatal("the queued request's batch never started")
+		}
+		select {
+		case code := <-first:
+			if code != http.StatusOK {
+				t.Fatalf("runner request: %d", code)
+			}
+		case <-time.After(20 * time.Second):
+			close(releaseSecond)
+			t.Fatal("the runner's response waited behind the next batch")
+		}
+		close(releaseSecond)
+		if code := <-second; code != http.StatusOK {
+			t.Fatalf("queued request: %d", code)
+		}
+	})
+
 	t.Run("PanicFailsWaitersAndEvicts", func(t *testing.T) {
 		var calls int
 		var mu sync.Mutex

@@ -298,7 +298,7 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var served bool
-	if syn := entry.refFlow; syn != nil {
+	if syn := entry.flow; syn != nil {
 		if label >= 0 && !syn.Conditional() {
 			writeError(w, http.StatusBadRequest, "label %q: model %q was not trained with scenario conditioning", req.Label, name)
 			return
@@ -310,7 +310,7 @@ func (s *Server) handleModelGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 		served = writeFlowResult(w, name, req.Format, gen)
 	} else {
-		served = writePacketResult(w, name, req.Format, entry.refPkt.GenerateFresh(req.Count))
+		served = writePacketResult(w, name, req.Format, entry.pkt.GenerateFresh(req.Count))
 	}
 	if served {
 		telModelsServed.Inc()
