@@ -55,7 +55,7 @@ test-race:
 # Crash/fault matrix: the checkpoint/resume/retry tests that simulate
 # process death, torn writes, and exhausted retry budgets (DESIGN.md §7).
 test-crash:
-	$(GO) test ./internal/orchestrator/... -run 'Crash|Fault|Resume|Torn|Partial|Exhaust'
+	$(GO) test ./internal/orchestrator/... -run 'Crash|Fault|Resume|Torn|Exhaust'
 	$(GO) test ./internal/core -run 'Resume|Fault|Exhausted|DPRetry'
 
 # Telemetry subsystem (DESIGN.md §9): race pass over the registry and the
@@ -174,7 +174,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: fmt-check vet cross-build staticcheck govulncheck build perfbench-build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz bench-generate
+ci: fmt-check vet cross-build staticcheck govulncheck build perfbench-build test test-race test-crash test-telemetry test-conformance test-conditional test-ingest test-store test-cluster fuzz
 
 clean:
 	$(GO) clean ./...

@@ -198,6 +198,60 @@ type fastPacketWire struct {
 	Models [][]byte
 }
 
+// legacyFlowContainer frames syn in fastFlowWire, the field layout every
+// flow container had while the whole Stats was part of the wire, with st
+// as that Stats.
+func legacyFlowContainer(t *testing.T, syn *FlowSynthesizer, kind container.Kind, st Stats) []byte {
+	t.Helper()
+	w := fastFlowWire{Config: syn.cfg, Stats: st}
+	var err error
+	if w.Embed, err = captureEmbed(syn.codec.embed); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		dst *rangeWire
+		src interface {
+			Range() (float64, float64, bool)
+		}
+	}{{&w.Time, &syn.codec.timeNorm}, {&w.Dur, syn.codec.durNorm}, {&w.Pkt, syn.codec.pktNorm}, {&w.Byt, syn.codec.bytNorm}} {
+		if *r.dst, err = captureRange(r.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Models, err = syn.encodeModels(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := saveContainer(&buf, kind, w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// legacyPacketContainer is legacyFlowContainer for packet synthesizers.
+func legacyPacketContainer(t *testing.T, syn *PacketSynthesizer, kind container.Kind, st Stats) []byte {
+	t.Helper()
+	w := fastPacketWire{Config: syn.cfg, Stats: st}
+	var err error
+	if w.Embed, err = captureEmbed(syn.codec.embed); err != nil {
+		t.Fatal(err)
+	}
+	if w.Time, err = captureRange(&syn.codec.timeNorm); err != nil {
+		t.Fatal(err)
+	}
+	if w.Size, err = captureRange(syn.codec.sizeNorm); err != nil {
+		t.Fatal(err)
+	}
+	if w.Models, err = syn.encodeModels(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := saveContainer(&buf, kind, w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestLoadLegacyFastContainers frames a float32 snapshot in the old wire
 // structs under the fast container kinds and checks that the loaders
 // decode it into a synthesizer that generates the snapshot's bytes.
@@ -226,42 +280,16 @@ func TestLoadLegacyFastContainers(t *testing.T) {
 	}
 
 	fastFlow := flow.Fast()
-	fw := fastFlowWire{Config: fastFlow.cfg, Stats: fastFlow.stats}
-	var err error
-	fw.Embed, err = captureEmbed(fastFlow.codec.embed)
-	must(err)
-	for _, r := range []struct {
-		dst *rangeWire
-		src interface {
-			Range() (float64, float64, bool)
-		}
-	}{{&fw.Time, &fastFlow.codec.timeNorm}, {&fw.Dur, fastFlow.codec.durNorm}, {&fw.Pkt, fastFlow.codec.pktNorm}, {&fw.Byt, fastFlow.codec.bytNorm}} {
-		*r.dst, err = captureRange(r.src)
-		must(err)
-	}
-	fw.Models, err = fastFlow.encodeModels()
-	must(err)
-	var buf bytes.Buffer
-	must(saveContainer(&buf, container.KindFlowFast, fw))
-	loadedFlow, err := LoadFlowSynthesizer(&buf)
+	loadedFlow, err := LoadFlowSynthesizer(bytes.NewReader(
+		legacyFlowContainer(t, fastFlow, container.KindFlowFast, fastFlow.stats)))
 	must(err)
 	if !bytes.Equal(flowCSV(fastFlow.GenerateBatch(counts)), flowCSV(loadedFlow.GenerateBatch(counts))) {
 		t.Fatal("legacy flow-fast container generates other bytes than its snapshot")
 	}
 
 	fastPkt := pkt.Fast()
-	pw := fastPacketWire{Config: fastPkt.cfg, Stats: fastPkt.stats}
-	pw.Embed, err = captureEmbed(fastPkt.codec.embed)
-	must(err)
-	pw.Time, err = captureRange(&fastPkt.codec.timeNorm)
-	must(err)
-	pw.Size, err = captureRange(fastPkt.codec.sizeNorm)
-	must(err)
-	pw.Models, err = fastPkt.encodeModels()
-	must(err)
-	buf.Reset()
-	must(saveContainer(&buf, container.KindPacketFast, pw))
-	loadedPkt, err := LoadPacketSynthesizer(&buf)
+	loadedPkt, err := LoadPacketSynthesizer(bytes.NewReader(
+		legacyPacketContainer(t, fastPkt, container.KindPacketFast, fastPkt.stats)))
 	must(err)
 	if !bytes.Equal(packetCSV(fastPkt.GenerateBatch(counts)), packetCSV(loadedPkt.GenerateBatch(counts))) {
 		t.Fatal("legacy packet-fast container generates other bytes than its snapshot")

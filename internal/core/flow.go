@@ -258,52 +258,43 @@ func TrainFlowSynthesizer(t *trace.FlowTrace, public *trace.PacketTrace, cfg Con
 
 // TrainFlowSynthesizerOpts is TrainFlowSynthesizer with operational
 // options: checkpoint/resume, retry policy, and progress events for the
-// chunked training fan-out.
+// chunked training fan-out. It runs the flow plan's tasks in process.
 func TrainFlowSynthesizerOpts(t *trace.FlowTrace, public *trace.PacketTrace, cfg Config, opts TrainOptions) (*FlowSynthesizer, error) {
-	codec, chunkSamples, err := buildFlowTraining(t, public, cfg)
+	p, err := newFlowPlan(t, public, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// DP pre-training corpus: flow samples derived from the public packet
-	// trace (its flows re-expressed as single NetFlow records).
-	var publicSamples []dgan.Sample
-	if cfg.DP != nil && cfg.DP.Pretrain {
-		publicSamples = publicFlowSamples(codec, public, cfg)
-	}
-
-	ganCfg := ganConfig(cfg, codec.metaSchema(), codec.featureSchema())
-	models, stats, err := trainChunks(cfg, ganCfg, chunkSamples, publicSamples, opts)
+	models, st, err := p.train(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &FlowSynthesizer{chunkSamplers: trained(cfg, models, stats), codec: codec}, nil
+	return p.synthesizer(models, st), nil
 }
 
-// buildFlowTraining is the deterministic preparation shared by local
-// training and the distributed plan (PlanFlowTraining): validate, fit
-// the embeddings and codec, then split/chunk/encode the trace into
-// per-chunk sample sets. Everything here depends only on (t, public,
-// cfg), so every process that runs it reproduces identical samples.
-func buildFlowTraining(t *trace.FlowTrace, public *trace.PacketTrace, cfg Config) (*flowCodec, [][]dgan.Sample, error) {
+// newFlowPlan is the deterministic preparation behind every flow
+// training: validate, fit the embeddings and codec, then split, chunk and
+// encode the trace into per-chunk sample sets. Everything here depends
+// only on (t, public, cfg), so every process that runs it reproduces
+// identical samples.
+func newFlowPlan(t *trace.FlowTrace, public *trace.PacketTrace, cfg Config) (*FlowPlan, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(t.Records) == 0 {
-		return nil, nil, fmt.Errorf("core: empty flow trace")
+		return nil, fmt.Errorf("core: empty flow trace")
 	}
 	if public == nil || len(public.Packets) == 0 {
-		return nil, nil, fmt.Errorf("core: a public packet trace is required for the port embedding")
+		return nil, fmt.Errorf("core: a public packet trace is required for the port embedding")
 	}
 	embed, err := newPortEmbedding(public, cfg.EmbedDim, cfg.EmbedEpochs, cfg.Seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	codec := newFlowCodec(cfg, embed, t)
 	if cfg.IPVectorEncoding {
 		ipEmbed, err := newIPEmbedding(ip2vec.FlowSentences(t), cfg.EmbedDim, cfg.EmbedEpochs, cfg.Seed+3)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		codec.ipEmbed = ipEmbed
 	}
@@ -319,9 +310,17 @@ func buildFlowTraining(t *trace.FlowTrace, public *trace.PacketTrace, cfg Config
 		}
 	}
 	if len(chunkSamples[0]) == 0 {
-		return nil, nil, fmt.Errorf("core: seed chunk is empty; reduce Chunks")
+		return nil, fmt.Errorf("core: seed chunk is empty; reduce Chunks")
 	}
-	return codec, chunkSamples, nil
+	p := &FlowPlan{codec: codec, chunkPlan: chunkPlan{
+		cfg: cfg, ganCfg: ganConfig(cfg, codec.metaSchema(), codec.featureSchema()), chunkSamples: chunkSamples,
+	}}
+	if cfg.DP != nil && cfg.DP.Pretrain {
+		// DP pre-training corpus: the public trace's flows re-expressed as
+		// single NetFlow records.
+		p.public = publicFlowSamples(codec, public, cfg)
+	}
+	return p, nil
 }
 
 // publicFlowSamples converts a public packet trace into flow-style training

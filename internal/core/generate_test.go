@@ -20,7 +20,7 @@ import (
 )
 
 // reseedGen puts every chunk model back on its canonical generation stream,
-// as trainChunks and the synthesizer loaders do, so repeated Generate calls
+// as training and the synthesizer loaders do, so repeated Generate calls
 // in a test start from identical RNG state.
 func reseedGen(models []sampler, seed int64) {
 	for i, m := range models {

@@ -23,13 +23,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dgan"
 	"repro/internal/encoding"
 	"repro/internal/ip2vec"
 	"repro/internal/orchestrator"
 	"repro/internal/privacy"
 	"repro/internal/rng"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -207,6 +205,9 @@ func dpSampleRate(batch, n int) float64 {
 }
 
 // Stats reports a training run's cost, the quantities behind Figure 4.
+// A saved synthesizer carries only ChunkSamples and Epsilon (persist.go):
+// run costs differ between identical trainings, so a loaded synthesizer
+// reports them as zero.
 type Stats struct {
 	// CPUTime is the summed training time over all chunks — the paper's
 	// "total CPU hours" axis.
@@ -403,188 +404,6 @@ func (c Config) hash() uint64 {
 	return h.Sum64()
 }
 
-// trainChunks trains the per-chunk models over encoded sample sets
-// following Insight 3: chunk 0 is the seed; the rest warm-start from it
-// and fine-tune (in parallel when requested). The fan-out runs under the
-// fault-tolerant orchestrator: per-chunk checkpoints, resume, retries
-// with backoff, and seed-weight degradation, all governed by opts.
-func trainChunks(cfg Config, ganCfg dgan.Config, chunkSamples [][]dgan.Sample, public []dgan.Sample, opts TrainOptions) ([]*dgan.Model, Stats, error) {
-	var st Stats
-	st.ChunkSamples = make([]int, len(chunkSamples))
-	for i, s := range chunkSamples {
-		st.ChunkSamples[i] = len(s)
-	}
-	st.ChunkCriticLoss = make([]float64, len(chunkSamples))
-	st.ChunkGenLoss = make([]float64, len(chunkSamples))
-	wallStart := time.Now()
-	trainSW := telTrainPhase.Start()
-	defer trainSW.Stop()
-
-	// stepHook composes per-step telemetry recording with the chunk's
-	// optional mid-training snapshot callback. Loss/grad-norm curves go to
-	// the chunk's telemetry series; the final per-chunk losses land in
-	// Stats at distinct indices, so the parallel fan-out needs no lock.
-	// Recording is observational only — it cannot perturb training.
-	stepHook := func(run orchestrator.ChunkRun, m *dgan.Model) dgan.TrainHook {
-		critic, gen, grad, _ := chunkSeries(run.Idx)
-		return func(step int, ts dgan.Stats) error {
-			critic.Record(int64(step), ts.CriticLoss)
-			gen.Record(int64(step), ts.GenLoss)
-			grad.Record(int64(step), ts.GradNorm)
-			st.ChunkCriticLoss[run.Idx] = ts.CriticLoss
-			st.ChunkGenLoss[run.Idx] = ts.GenLoss
-			if run.SavePartial != nil {
-				return run.SavePartial(step, m)
-			}
-			return nil
-		}
-	}
-
-	// epsilon is written by the successful seed attempt (the seed phase is
-	// synchronous, so no lock is needed). Each attempt constructs fresh
-	// DP-SGD state on the reserved noise stream, so retries replay
-	// identical noise and cannot change the final weights.
-	var epsilon float64
-	trainSeed := func(run orchestrator.ChunkRun) (orchestrator.Model, error) {
-		seedCfg := ganCfg
-		seedCfg.Seed = cfg.Seed
-		seed, err := dgan.New(seedCfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.DP == nil {
-			if _, err := seed.TrainWithHook(chunkSamples[0], cfg.SeedSteps, stepHook(run, seed)); err != nil {
-				return nil, err
-			}
-			return seed, nil
-		}
-		if cfg.DP.Pretrain {
-			if len(public) == 0 {
-				return nil, fmt.Errorf("core: DP pretraining requires public samples")
-			}
-			if _, err := seed.Train(public, cfg.DP.PretrainSteps); err != nil {
-				return nil, err
-			}
-		}
-		dp, err := privacy.NewDPSGD(privacy.DPSGDConfig{
-			ClipNorm:        cfg.DP.ClipNorm,
-			NoiseMultiplier: cfg.DP.NoiseMultiplier,
-			SampleRate:      dpSampleRate(ganCfg.Batch, len(chunkSamples[0])),
-			Delta:           cfg.DP.Delta,
-		}, rng.New(rng.Derive(cfg.Seed, dpNoiseStream)))
-		if err != nil {
-			return nil, err
-		}
-		// Wrap the step hook to chart the cumulative privacy spend: the
-		// RDP accountant is queried per generator step (cheap relative to a
-		// critic round) only while telemetry is enabled.
-		hook := stepHook(run, seed)
-		_, _, _, epsSeries := chunkSeries(run.Idx)
-		dpHook := func(step int, ts dgan.Stats) error {
-			if telemetry.Default.Enabled() {
-				e := dp.Epsilon()
-				epsSeries.Record(int64(step), e)
-				telEpsilon.Set(e)
-			}
-			return hook(step, ts)
-		}
-		if _, err := seed.TrainDPWithHook(chunkSamples[0], cfg.SeedSteps, dp, dpHook); err != nil {
-			return nil, err
-		}
-		epsilon = dp.Epsilon()
-		telEpsilon.Set(epsilon)
-		return seed, nil
-	}
-
-	// newChunkModel builds chunk idx's model on its decorrelated RNG
-	// stream and warm-starts it from the seed weights; it is both the
-	// fine-tune starting point and the degraded fallback.
-	newChunkModel := func(stream int64, seed *dgan.Model) (*dgan.Model, error) {
-		mCfg := ganCfg
-		// Each chunk model trains on its own decorrelated RNG stream, so
-		// the parallel fan-out and a serial loop draw identical noise per
-		// chunk (the stream depends only on the seed and chunk index).
-		mCfg.Seed = stream
-		m, err := dgan.New(mCfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Warmstart(seed); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-
-	fineTune := func(run orchestrator.ChunkRun, seedM orchestrator.Model) (orchestrator.Model, error) {
-		seed := seedM.(*dgan.Model)
-		steps := cfg.FineTuneSteps
-		var m *dgan.Model
-		if run.Partial != nil && run.PartialStep < steps {
-			// Continue a mid-chunk snapshot (AllowPartial): functionally
-			// correct, but not bitwise identical to an uninterrupted run
-			// since optimizer and RNG state restart (DESIGN.md §7).
-			if pm, err := dgan.DecodeModel(run.Partial); err == nil {
-				m, steps = pm, steps-run.PartialStep
-			}
-		}
-		if m == nil {
-			var err error
-			if m, err = newChunkModel(run.Stream, seed); err != nil {
-				return nil, err
-			}
-		}
-		if len(chunkSamples[run.Idx]) > 0 && steps > 0 {
-			if _, err := m.TrainWithHook(chunkSamples[run.Idx], steps, stepHook(run, m)); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
-
-	fallback := func(idx int, seedM orchestrator.Model) (orchestrator.Model, error) {
-		return newChunkModel(rng.Derive(cfg.Seed, int64(idx)), seedM.(*dgan.Model))
-	}
-
-	var orch orchestrator.Options
-	if opts.Orchestration != nil {
-		orch = *opts.Orchestration
-	}
-	res, err := orchestrator.Run(orch, orchestrator.Spec{
-		NumChunks:  len(chunkSamples),
-		ConfigHash: cfg.hash(),
-		BaseSeed:   cfg.Seed,
-		Parallel:   cfg.Parallel,
-		TrainSeed:  trainSeed,
-		FineTune:   fineTune,
-		Fallback:   fallback,
-		Decode: func(data []byte) (orchestrator.Model, error) {
-			return dgan.DecodeModel(data)
-		},
-	})
-	if err != nil {
-		return nil, st, err
-	}
-
-	models := make([]*dgan.Model, len(res.Models))
-	for i, m := range res.Models {
-		models[i] = m.(*dgan.Model)
-		// Canonical generation stream: whether a chunk model was trained
-		// fresh (its RNG advanced through training) or restored from a
-		// checkpoint (fresh RNG), generation afterwards draws from the
-		// same derived stream — resumed and uninterrupted runs emit
-		// bitwise-identical traces.
-		models[i].Reseed(genSeed(cfg, i))
-		st.CPUTime += res.ChunkTime[i]
-	}
-	st.SeedTime = res.SeedTime
-	st.ChunkAttempts = res.Attempts
-	st.ChunkResumed = res.Resumed
-	st.ChunkDegraded = res.Degraded
-	st.Epsilon = epsilon
-	st.WallTime = time.Since(wallStart)
-	return models, st, nil
-}
-
 // dpNoiseStream is the rng.Derive stream index reserved for the DP-SGD
 // Gaussian noise source, outside the chunk-index stream range;
 // genStream+idx are the reserved post-training generation streams.
@@ -593,9 +412,9 @@ const (
 	genStream     = 1 << 33
 )
 
-// genSeed is chunk i's canonical generation seed: trainChunks, the
-// distributed plan and the loaders all reseed chunk model i with it, so
-// the first trace generated after training equals the first after Load.
+// genSeed is chunk i's canonical generation seed: the plan's finish step
+// and the loaders both reseed chunk model i with it, so the first trace
+// generated after training equals the first after Load.
 func genSeed(cfg Config, i int) int64 { return rng.Derive(cfg.Seed, genStream+int64(i)) }
 
 func maxInt(a, b int) int {

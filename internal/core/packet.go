@@ -137,52 +137,44 @@ func TrainPacketSynthesizer(t *trace.PacketTrace, public *trace.PacketTrace, cfg
 
 // TrainPacketSynthesizerOpts is TrainPacketSynthesizer with operational
 // options: checkpoint/resume, retry policy, and progress events for the
-// chunked training fan-out.
+// chunked training fan-out. It runs the packet plan's tasks in process.
 func TrainPacketSynthesizerOpts(t *trace.PacketTrace, public *trace.PacketTrace, cfg Config, opts TrainOptions) (*PacketSynthesizer, error) {
-	codec, chunkSamples, err := buildPacketTraining(t, public, cfg)
+	p, err := newPacketPlan(t, public, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	var publicSamples []dgan.Sample
-	if cfg.DP != nil && cfg.DP.Pretrain {
-		publicSamples = publicPacketSamples(codec, public, cfg)
-	}
-
-	ganCfg := ganConfig(cfg, codec.metaSchema(), codec.featureSchema())
-	models, stats, err := trainChunks(cfg, ganCfg, chunkSamples, publicSamples, opts)
+	models, st, err := p.train(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &PacketSynthesizer{chunkSamplers: trained(cfg, models, stats), codec: codec}, nil
+	return p.synthesizer(models, st), nil
 }
 
-// buildPacketTraining is the deterministic preparation shared by local
-// training and the distributed plan (PlanPacketTraining); see
-// buildFlowTraining.
-func buildPacketTraining(t *trace.PacketTrace, public *trace.PacketTrace, cfg Config) (*packetCodec, [][]dgan.Sample, error) {
+// newPacketPlan is the deterministic preparation behind every packet
+// training; see newFlowPlan.
+func newPacketPlan(t *trace.PacketTrace, public *trace.PacketTrace, cfg Config) (*PacketPlan, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if cfg.Conditional {
 		// Packet flows carry no per-record scenario label to condition on.
-		return nil, nil, fmt.Errorf("core: Conditional training is flow-only; packet traces carry no scenario labels")
+		return nil, fmt.Errorf("core: Conditional training is flow-only; packet traces carry no scenario labels")
 	}
 	if len(t.Packets) == 0 {
-		return nil, nil, fmt.Errorf("core: empty packet trace")
+		return nil, fmt.Errorf("core: empty packet trace")
 	}
 	if public == nil || len(public.Packets) == 0 {
-		return nil, nil, fmt.Errorf("core: a public packet trace is required for the port embedding")
+		return nil, fmt.Errorf("core: a public packet trace is required for the port embedding")
 	}
 	embed, err := newPortEmbedding(public, cfg.EmbedDim, cfg.EmbedEpochs, cfg.Seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	codec := newPacketCodec(cfg, embed, t)
 	if cfg.IPVectorEncoding {
 		ipEmbed, err := newIPEmbedding(ip2vec.PacketSentences(t), cfg.EmbedDim, cfg.EmbedEpochs, cfg.Seed+3)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		codec.ipEmbed = ipEmbed
 	}
@@ -196,9 +188,15 @@ func buildPacketTraining(t *trace.PacketTrace, public *trace.PacketTrace, cfg Co
 		}
 	}
 	if len(chunkSamples[0]) == 0 {
-		return nil, nil, fmt.Errorf("core: seed chunk is empty; reduce Chunks")
+		return nil, fmt.Errorf("core: seed chunk is empty; reduce Chunks")
 	}
-	return codec, chunkSamples, nil
+	p := &PacketPlan{codec: codec, chunkPlan: chunkPlan{
+		cfg: cfg, ganCfg: ganConfig(cfg, codec.metaSchema(), codec.featureSchema()), chunkSamples: chunkSamples,
+	}}
+	if cfg.DP != nil && cfg.DP.Pretrain {
+		p.public = publicPacketSamples(codec, public, cfg)
+	}
+	return p, nil
 }
 
 func publicPacketSamples(codec *packetCodec, public *trace.PacketTrace, cfg Config) []dgan.Sample {

@@ -161,13 +161,33 @@ func validateModels(models [][]byte, cfg Config) error {
 // private dictionary exists only to quantify Table 2's tradeoff).
 var errAblationSave = fmt.Errorf("core: IPVectorEncoding models are ablation-only and cannot be persisted")
 
+// savedStats is the part of Stats a container carries: the per-chunk
+// sample counts generation splits requests by, and the spent privacy
+// budget. Run costs (times, attempts, losses) differ between identical
+// trainings, so leaving them out makes the container a pure function of
+// (data, config, seed). The wire field keeps the name Stats: gob matches
+// fields by name and skips the rest, so containers that carry the whole
+// Stats still load.
+type savedStats struct {
+	ChunkSamples []int
+	Epsilon      float64
+}
+
+func saveStats(st Stats) savedStats {
+	return savedStats{ChunkSamples: st.ChunkSamples, Epsilon: st.Epsilon}
+}
+
+func (w savedStats) stats() Stats {
+	return Stats{ChunkSamples: w.ChunkSamples, Epsilon: w.Epsilon}
+}
+
 // flowSynWire is the gob wire form of a FlowSynthesizer of either
 // precision: Models holds dgan.Model gob blobs or dgan infer-format
 // snapshots, as the container kind says. Gob writes the type name into
 // the stream, so renaming it changes every saved container's bytes.
 type flowSynWire struct {
 	Config Config
-	Stats  Stats
+	Stats  savedStats
 	Embed  embedWire
 	Time   rangeWire
 	Dur    rangeWire
@@ -183,7 +203,7 @@ func (s *FlowSynthesizer) Save(w io.Writer) error {
 	if s.codec.ipEmbed != nil {
 		return errAblationSave
 	}
-	wire := flowSynWire{Config: s.cfg, Stats: s.stats}
+	wire := flowSynWire{Config: s.cfg, Stats: saveStats(s.stats)}
 	var err error
 	if wire.Embed, err = captureEmbed(s.codec.embed); err != nil {
 		return err
@@ -243,7 +263,7 @@ func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 	codec.pktNorm.RestoreRange(wire.Pkt.Lo, wire.Pkt.Hi)
 	codec.bytNorm.RestoreRange(wire.Byt.Lo, wire.Byt.Hi)
 
-	chunks, err := loadSamplers(wire.Models, wire.Config, wire.Stats, fast)
+	chunks, err := loadSamplers(wire.Models, wire.Config, wire.Stats.stats(), fast)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +274,7 @@ func LoadFlowSynthesizer(r io.Reader) (*FlowSynthesizer, error) {
 // precision; see flowSynWire.
 type packetSynWire struct {
 	Config Config
-	Stats  Stats
+	Stats  savedStats
 	Embed  embedWire
 	Time   rangeWire
 	Size   rangeWire
@@ -268,7 +288,7 @@ func (s *PacketSynthesizer) Save(w io.Writer) error {
 	if s.codec.ipEmbed != nil {
 		return errAblationSave
 	}
-	wire := packetSynWire{Config: s.cfg, Stats: s.stats}
+	wire := packetSynWire{Config: s.cfg, Stats: saveStats(s.stats)}
 	var err error
 	if wire.Embed, err = captureEmbed(s.codec.embed); err != nil {
 		return err
@@ -311,7 +331,7 @@ func LoadPacketSynthesizer(r io.Reader) (*PacketSynthesizer, error) {
 	codec.timeNorm.RestoreRange(wire.Time.Lo, wire.Time.Hi)
 	codec.sizeNorm.RestoreRange(wire.Size.Lo, wire.Size.Hi)
 
-	chunks, err := loadSamplers(wire.Models, wire.Config, wire.Stats, fast)
+	chunks, err := loadSamplers(wire.Models, wire.Config, wire.Stats.stats(), fast)
 	if err != nil {
 		return nil, err
 	}

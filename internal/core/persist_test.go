@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/container"
@@ -47,9 +48,13 @@ func TestFlowSynthesizerSaveLoad(t *testing.T) {
 			t.Fatalf("record %d invalid: %+v", i, r)
 		}
 	}
-	// Stats survive the round trip.
-	if loaded.Stats().CPUTime != syn.Stats().CPUTime {
-		t.Fatal("stats lost in round trip")
+	// The container carries the chunk sample counts and ε, not run costs.
+	got, want := loaded.Stats(), syn.Stats()
+	if !reflect.DeepEqual(got.ChunkSamples, want.ChunkSamples) || got.Epsilon != want.Epsilon {
+		t.Fatalf("persisted stats = %+v, want chunk samples %v and epsilon %v", got, want.ChunkSamples, want.Epsilon)
+	}
+	if want.CPUTime == 0 || got.CPUTime != 0 || got.WallTime != 0 || got.SeedTime != 0 || got.ChunkAttempts != nil {
+		t.Fatalf("run costs must not be persisted: trained %+v, loaded %+v", want, got)
 	}
 	// Decoded values must still map into the real trace's ranges: the
 	// normalizers were restored, so times stay within the fitted span.

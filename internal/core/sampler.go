@@ -150,7 +150,7 @@ func (c *chunkSamplers) encodeModels() ([][]byte, error) {
 }
 
 // loadSamplers decodes persisted chunk weights of either precision and
-// puts chunk i on its canonical generation stream, the one trainChunks or
+// puts chunk i on its canonical generation stream, the one training or
 // Fast uses, so a loaded synthesizer's first Generate matches the freshly
 // trained or snapshotted one's.
 func loadSamplers(blobs [][]byte, cfg Config, stats Stats, fast bool) (chunkSamplers, error) {

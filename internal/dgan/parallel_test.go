@@ -82,7 +82,7 @@ func TestTrainBitwiseDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestConcurrentChunkFineTunes exercises the trainChunks-style fan-out
+// TestConcurrentChunkFineTunes exercises the chunk fine-tune fan-out
 // (several models training at once, each with internal parallelism) under
 // the race detector.
 func TestConcurrentChunkFineTunes(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 //	MANIFEST.json      run manifest: config hash, RNG streams, chunk status
 //	chunk-0000.ckpt    framed model checkpoint for the seed chunk
 //	chunk-0001.ckpt    ... one per fine-tuned chunk
-//	chunk-0001.partial optional mid-chunk snapshot (CheckpointEvery)
 //
 // Every file is written atomically (temp file + rename), so a crash can
 // leave stray *.tmp files but never a half-written checkpoint under its
@@ -123,10 +122,6 @@ type ChunkManifest struct {
 	// the CRC-32 of its payload, cross-checked on load.
 	File     string `json:"file,omitempty"`
 	Checksum uint32 `json:"checksum,omitempty"`
-	// PartialFile/PartialStep describe a mid-chunk snapshot written by
-	// CheckpointEvery, consumable under AllowPartial.
-	PartialFile string `json:"partialFile,omitempty"`
-	PartialStep int    `json:"partialStep,omitempty"`
 }
 
 // Manifest is the durable record of a checkpointed run.
@@ -158,11 +153,10 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		default:
 			return nil, fmt.Errorf("orchestrator: chunk %d has invalid status %q", i, c.Status)
 		}
-		if c.Attempts < 0 || c.PartialStep < 0 {
-			return nil, fmt.Errorf("orchestrator: chunk %d has negative counters", i)
+		if c.Attempts < 0 {
+			return nil, fmt.Errorf("orchestrator: chunk %d has a negative attempt count", i)
 		}
-		if (c.File != "" && filepath.Base(c.File) != c.File) ||
-			(c.PartialFile != "" && filepath.Base(c.PartialFile) != c.PartialFile) {
+		if c.File != "" && filepath.Base(c.File) != c.File {
 			return nil, fmt.Errorf("orchestrator: chunk %d references a file outside the checkpoint directory", i)
 		}
 	}
@@ -181,5 +175,4 @@ func (m *Manifest) encode() ([]byte, error) {
 	return b, nil
 }
 
-func chunkFile(idx int) string   { return fmt.Sprintf("chunk-%04d.ckpt", idx) }
-func partialFile(idx int) string { return fmt.Sprintf("chunk-%04d.partial", idx) }
+func chunkFile(idx int) string { return fmt.Sprintf("chunk-%04d.ckpt", idx) }

@@ -127,9 +127,7 @@ func TestParseManifestRejections(t *testing.T) {
 		"no-chunks":        func(m *Manifest) { m.Chunks = nil },
 		"bad-status":       func(m *Manifest) { m.Chunks[0].Status = "meh" },
 		"negative-attempt": func(m *Manifest) { m.Chunks[1].Attempts = -1 },
-		"negative-step":    func(m *Manifest) { m.Chunks[1].PartialStep = -2 },
 		"path-escape":      func(m *Manifest) { m.Chunks[0].File = "../../etc/passwd" },
-		"partial-escape":   func(m *Manifest) { m.Chunks[2].PartialFile = "/abs/path" },
 	}
 	for name, mutate := range cases {
 		m := validManifest()
@@ -147,7 +145,7 @@ func TestParseManifestRejections(t *testing.T) {
 }
 
 func TestParseManifestAllowsUnsetFiles(t *testing.T) {
-	// Pending chunks carry empty File/PartialFile; filepath.Base("") is "."
+	// Pending chunks carry an empty File; filepath.Base("") is "."
 	// and must not trip the path-confinement check.
 	m := validManifest()
 	if _, err := ParseManifest(mustEncode(m)); err != nil {
@@ -159,21 +157,17 @@ func TestChunkFileNames(t *testing.T) {
 	if got := chunkFile(3); got != "chunk-0003.ckpt" {
 		t.Fatalf("chunkFile(3) = %q", got)
 	}
-	if got := partialFile(11); got != "chunk-0011.partial" {
-		t.Fatalf("partialFile(11) = %q", got)
-	}
 	// Names sort in chunk order and never collide across 4-digit indices.
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		for _, name := range []string{chunkFile(i), partialFile(i)} {
-			if seen[name] {
-				t.Fatalf("duplicate checkpoint name %q", name)
-			}
-			if strings.ContainsAny(name, "/\\") {
-				t.Fatalf("checkpoint name %q escapes the directory", name)
-			}
-			seen[name] = true
+		name := chunkFile(i)
+		if seen[name] {
+			t.Fatalf("duplicate checkpoint name %q", name)
 		}
+		if strings.ContainsAny(name, "/\\") {
+			t.Fatalf("checkpoint name %q escapes the directory", name)
+		}
+		seen[name] = true
 	}
 }
 

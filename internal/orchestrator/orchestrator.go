@@ -45,20 +45,9 @@ type Options struct {
 	Resume bool
 	// MaxRetries is the per-chunk retry budget. A fine-tune chunk that
 	// fails MaxRetries+1 attempts degrades to the seed weights; a seed
-	// chunk that does so fails the run.
+	// chunk that does so fails the run. Retries back off exponentially
+	// (backoff).
 	MaxRetries int
-	// Backoff is the delay before the first retry, doubling per attempt
-	// and capped at MaxBackoff. Defaults: 100ms capped at 5s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// CheckpointEvery writes a mid-chunk snapshot every N generator steps
-	// (0 disables; chunk-boundary checkpoints are always written).
-	CheckpointEvery int
-	// AllowPartial lets a resumed run continue a chunk from its mid-chunk
-	// snapshot instead of retraining it from scratch. This bounds lost
-	// work on very long chunks but forfeits bitwise determinism for that
-	// chunk (optimizer and RNG state are not part of the wire format).
-	AllowPartial bool
 
 	// FailChunk, when non-nil, is consulted before every training attempt
 	// and makes that attempt fail with the returned error — the fault
@@ -83,25 +72,23 @@ func (o *Options) applyDefaults() {
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
 	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
 }
 
+// Retry backoff: the first retry waits backoffBase, each further one
+// twice as long, capped at backoffMax.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
+
 // backoff returns the capped exponential delay before retry `attempt`
-// (1-based): Backoff, 2·Backoff, 4·Backoff, ... ≤ MaxBackoff.
-func (o *Options) backoff(attempt int) time.Duration {
-	d := o.Backoff
-	for i := 1; i < attempt && d < o.MaxBackoff; i++ {
+// (1-based): 100ms, 200ms, 400ms, ... ≤ 5s.
+func backoff(attempt int) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > o.MaxBackoff {
-		d = o.MaxBackoff
-	}
-	return d
+	return min(d, backoffMax)
 }
 
 // EventKind enumerates run progress notifications.
@@ -129,19 +116,10 @@ type Event struct {
 type ChunkRun struct {
 	Idx     int
 	Attempt int
-	// Stream is the chunk's derived RNG seed; identical whether the chunk
-	// runs fresh, retried, resumed, serial, or parallel.
+	// Stream is the chunk's derived RNG seed, rng.Derive(BaseSeed, Idx);
+	// identical whether the chunk runs fresh, retried, resumed, serial, or
+	// parallel.
 	Stream int64
-	// SavePartial, when non-nil, persists a mid-chunk snapshot; call it
-	// from a train-step callback with the completed step count. It gates
-	// itself on Options.CheckpointEvery and is best-effort: I/O failures
-	// surface as events, never as training errors.
-	SavePartial func(step int, m Model) error
-	// Partial holds a previously saved mid-chunk snapshot payload (only
-	// under Options.AllowPartial, only on the first attempt); PartialStep
-	// is the generator step it was taken at.
-	Partial     []byte
-	PartialStep int
 }
 
 // Spec describes one chunked training run.
@@ -155,9 +133,6 @@ type Spec struct {
 	BaseSeed int64
 	// Parallel fine-tunes non-seed chunks concurrently.
 	Parallel bool
-	// ChunkStream overrides the per-chunk RNG stream derivation (default
-	// rng.Derive(BaseSeed, idx)).
-	ChunkStream func(idx int) int64
 	// TrainSeed trains the seed chunk (chunk 0) from scratch.
 	TrainSeed func(run ChunkRun) (Model, error)
 	// FineTune trains chunk run.Idx warm-started from the seed model.
@@ -170,12 +145,7 @@ type Spec struct {
 	Decode func(data []byte) (Model, error)
 }
 
-func (s *Spec) stream(idx int) int64 {
-	if s.ChunkStream != nil {
-		return s.ChunkStream(idx)
-	}
-	return rng.Derive(s.BaseSeed, int64(idx))
-}
+func (s *Spec) stream(idx int) int64 { return rng.Derive(s.BaseSeed, int64(idx)) }
 
 func (s *Spec) validate(opts Options) error {
 	if s.NumChunks < 1 {
@@ -207,9 +177,8 @@ type Result struct {
 	Degraded []bool
 	// Attempts counts training attempts per chunk (0 for resumed chunks).
 	Attempts []int
-	// SeedTime is the seed chunk's training duration; ChunkTime holds the
-	// per-chunk durations (zero for resumed chunks).
-	SeedTime  time.Duration
+	// ChunkTime holds the per-chunk training durations, the seed chunk's
+	// first (zero for resumed chunks).
 	ChunkTime []time.Duration
 }
 
@@ -274,7 +243,7 @@ func Run(opts Options, spec Spec) (*Result, error) {
 		m, attempts, dur, err := r.attemptChunk(0, func(run ChunkRun) (Model, error) {
 			return spec.TrainSeed(run)
 		})
-		res.Attempts[0], res.SeedTime, res.ChunkTime[0] = attempts, dur, dur
+		res.Attempts[0], res.ChunkTime[0] = attempts, dur
 		if err != nil {
 			return nil, err
 		}
@@ -411,21 +380,15 @@ func (r *runner) checkManifest(man *Manifest) error {
 // first-attempt success.
 func (r *runner) attemptChunk(idx int, train func(ChunkRun) (Model, error)) (Model, int, time.Duration, error) {
 	stream := r.spec.stream(idx)
-	partial, partialStep := r.loadPartial(idx)
 	var lastErr error
 	var dur time.Duration
 	r.event(Event{Kind: EventChunkStart, Chunk: idx})
 	for attempt := 0; attempt <= r.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
 			r.event(Event{Kind: EventChunkRetry, Chunk: idx, Attempt: attempt, Err: lastErr})
-			r.opts.Sleep(r.opts.backoff(attempt))
+			r.opts.Sleep(backoff(attempt))
 		}
-		run := ChunkRun{Idx: idx, Attempt: attempt, Stream: stream, SavePartial: r.partialSaver(idx)}
-		if attempt == 0 {
-			// A stale mid-chunk snapshot is only trusted once; retries
-			// rebuild from scratch on the deterministic stream.
-			run.Partial, run.PartialStep = partial, partialStep
-		}
+		run := ChunkRun{Idx: idx, Attempt: attempt, Stream: stream}
 		if r.opts.FailChunk != nil {
 			if err := r.opts.FailChunk(idx, attempt); err != nil {
 				if IsAbort(err) {
@@ -513,65 +476,12 @@ func (r *runner) completeChunk(idx int, m Model, status ChunkStatus, attempts in
 		if err = atomicWrite(r.opts.FS, filepath.Join(r.opts.Dir, name), EncodeCheckpoint(payload)); err == nil {
 			c.Status = status
 			c.File, c.Checksum = name, crc32.ChecksumIEEE(payload)
-			if c.PartialFile != "" {
-				_ = r.opts.FS.Remove(filepath.Join(r.opts.Dir, c.PartialFile))
-				c.PartialFile, c.PartialStep = "", 0
-			}
 		}
 	}
 	if err != nil {
 		r.event(Event{Kind: EventCheckpointError, Chunk: idx, Err: err})
 	}
 	r.persistManifestLocked()
-}
-
-// partialSaver returns the mid-chunk snapshot callback for ChunkRun, or
-// nil when mid-chunk checkpointing is off.
-func (r *runner) partialSaver(idx int) func(step int, m Model) error {
-	if r.opts.Dir == "" || r.opts.CheckpointEvery <= 0 {
-		return nil
-	}
-	every := r.opts.CheckpointEvery
-	return func(step int, m Model) error {
-		if step <= 0 || step%every != 0 {
-			return nil
-		}
-		payload, err := m.Encode()
-		if err == nil {
-			name := partialFile(idx)
-			if err = atomicWrite(r.opts.FS, filepath.Join(r.opts.Dir, name), EncodeCheckpoint(payload)); err == nil {
-				r.mu.Lock()
-				c := &r.man.Chunks[idx]
-				c.PartialFile, c.PartialStep = name, step
-				r.persistManifestLocked()
-				r.mu.Unlock()
-				return nil
-			}
-		}
-		// Best effort: a failed snapshot must never fail training.
-		r.event(Event{Kind: EventCheckpointError, Chunk: idx, Err: err})
-		return nil
-	}
-}
-
-// loadPartial returns a resumable mid-chunk snapshot when AllowPartial is
-// set and the manifest records one.
-func (r *runner) loadPartial(idx int) ([]byte, int) {
-	if !r.opts.AllowPartial || r.opts.Dir == "" {
-		return nil, 0
-	}
-	r.mu.Lock()
-	c := r.man.Chunks[idx]
-	r.mu.Unlock()
-	if c.PartialFile == "" || c.PartialStep <= 0 {
-		return nil, 0
-	}
-	payload, err := r.readCheckpoint(c.PartialFile, 0)
-	if err != nil {
-		r.event(Event{Kind: EventCheckpointError, Chunk: idx, Err: err})
-		return nil, 0
-	}
-	return payload, c.PartialStep
 }
 
 func (r *runner) persistManifestLocked() {

@@ -138,8 +138,6 @@ func TestFaultRetrySucceeds(t *testing.T) {
 	spec := fakeSpec(3, 5, newTrainLog())
 	res, err := Run(Options{
 		MaxRetries: 2,
-		Backoff:    10 * time.Millisecond,
-		MaxBackoff: 40 * time.Millisecond,
 		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 		FailChunk: func(idx, attempt int) error {
 			if idx == 1 && attempt < 2 {
@@ -158,18 +156,36 @@ func TestFaultRetrySucceeds(t *testing.T) {
 	if res.Degraded[1] {
 		t.Fatal("chunk 1 must not degrade inside the retry budget")
 	}
-	wantSleep := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
+	wantSleep := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
 	if len(slept) != len(wantSleep) || slept[0] != wantSleep[0] || slept[1] != wantSleep[1] {
 		t.Fatalf("backoff sleeps = %v, want %v", slept, wantSleep)
 	}
 }
 
+// TestBackoffCapped: retry delays start at 100ms, double per attempt
+// and stop growing at 5s.
 func TestBackoffCapped(t *testing.T) {
-	o := Options{Backoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 40, 40}
+	var slept []time.Duration
+	_, err := Run(Options{
+		MaxRetries: 8,
+		Sleep:      func(d time.Duration) { slept = append(slept, d) },
+		FailChunk: func(idx, attempt int) error {
+			if attempt < 8 {
+				return fmt.Errorf("injected fault attempt=%d", attempt)
+			}
+			return nil
+		},
+	}, fakeSpec(1, 5, newTrainLog()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{100, 200, 400, 800, 1600, 3200, 5000, 5000}
+	if len(slept) != len(want) {
+		t.Fatalf("backoff sleeps = %v, want %d of them", slept, len(want))
+	}
 	for i, w := range want {
-		if got := o.backoff(i + 1); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		if slept[i] != w*time.Millisecond {
+			t.Fatalf("backoff before retry %d = %v, want %v", i+1, slept[i], w*time.Millisecond)
 		}
 	}
 }
@@ -440,61 +456,6 @@ func TestTornCheckpointWriteKeepsRunAlive(t *testing.T) {
 	equalPayloads(t, payloads(t, res2), want)
 	if res2.Resumed[1] {
 		t.Fatal("chunk 1 must retrain after its checkpoint was torn")
-	}
-}
-
-// TestPartialCheckpointResume: mid-chunk snapshots written through
-// ChunkRun.SavePartial are offered back (with their step) under
-// AllowPartial.
-func TestPartialCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	const steps = 6
-	spec := fakeSpec(2, 5, newTrainLog())
-	spec.FineTune = func(run ChunkRun, seedM Model) (Model, error) {
-		start := 0
-		if run.Partial != nil {
-			start = run.PartialStep
-		}
-		for s := start + 1; s <= steps; s++ {
-			m := &fakeModel{payload: fmt.Sprintf("chunk-%d@step%d", run.Idx, s)}
-			if run.SavePartial != nil {
-				if err := run.SavePartial(s, m); err != nil {
-					return nil, err
-				}
-			}
-			if s == 4 && run.Partial == nil {
-				return nil, Abort(fmt.Errorf("crash mid-chunk at step %d", s))
-			}
-		}
-		return &fakeModel{payload: fmt.Sprintf("chunk-%d@final(start=%d)", run.Idx, start)}, nil
-	}
-	opts := Options{Dir: dir, CheckpointEvery: 2}
-	if _, err := Run(opts, spec); err == nil || !IsAbort(err) {
-		t.Fatalf("want mid-chunk crash, got %v", err)
-	}
-	man, err := ParseManifest(readFile(t, filepath.Join(dir, ManifestFile)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Chunks[1].PartialStep != 4 {
-		t.Fatalf("partial step = %d, want 4", man.Chunks[1].PartialStep)
-	}
-
-	opts.Resume, opts.AllowPartial = true, true
-	res, err := Run(opts, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := payloads(t, res)[1]; got != "chunk-1@final(start=4)" {
-		t.Fatalf("resumed chunk payload = %q, want continuation from step 4", got)
-	}
-	// The completed chunk's partial snapshot is cleaned up.
-	man, err = ParseManifest(readFile(t, filepath.Join(dir, ManifestFile)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Chunks[1].PartialFile != "" || man.Chunks[1].Status != ChunkDone {
-		t.Fatalf("partial not cleaned: %+v", man.Chunks[1])
 	}
 }
 

@@ -93,79 +93,37 @@ func (s *Server) clusterSpec(id string, req JobRequest, cfg core.Config) cluster
 	}
 }
 
-// runCluster executes one cluster-routed job: submit the spec, mirror
-// worker progress into the job status, assemble on completion, and
-// persist/serve the result exactly like an in-process job. Panic
-// containment mirrors run().
-func (s *Server) runCluster(id string, req JobRequest) {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	defer s.notifyDone(id)
-	sw := telJobDuration.Start()
-	defer sw.Stop()
-	defer func() {
-		if r := recover(); r != nil {
-			telJobsFailed.Inc()
-			s.setState(id, StateFailed, fmt.Errorf("job panicked: %v", r))
-			s.persistFailed(id)
+// clusterTrainer routes the job through the attached queue: submit the
+// spec, mirror worker progress into the job status until the queue
+// reports the job done, then assemble the synthesizer.
+func (s *Server) clusterTrainer(id string, req JobRequest, cfg core.Config) trainer {
+	train := func() (*cluster.Coordinator, error) {
+		q := s.clusterQueue()
+		if q == nil {
+			return nil, fmt.Errorf("cluster queue detached")
 		}
-	}()
-
-	s.setState(id, StateRunning, nil)
-	if s.runHook != nil {
-		s.runHook(id)
-	}
-	q := s.clusterQueue()
-	if q == nil {
-		telJobsFailed.Inc()
-		s.setState(id, StateFailed, fmt.Errorf("cluster queue detached"))
-		s.persistFailed(id)
-		return
-	}
-	cfg := req.config()
-	s.initChunks(id, cfg.Chunks)
-	spec := s.clusterSpec(id, req, cfg)
-	coord := &cluster.Coordinator{Queue: q}
-
-	if fail := s.clusterTrainAndFinish(id, req, spec, coord); fail != nil {
-		telJobsFailed.Inc()
-		s.setState(id, StateFailed, fail)
-		s.persistFailed(id)
-	} else {
-		telJobsDone.Inc()
-	}
-}
-
-func (s *Server) clusterTrainAndFinish(id string, req JobRequest, spec cluster.JobSpec, coord *cluster.Coordinator) error {
-	if err := coord.Submit(spec); err != nil {
-		return err
-	}
-	if err := s.waitCluster(id, coord); err != nil {
-		return err
-	}
-	switch req.Kind {
-	case "netflow":
-		syn, err := coord.AssembleFlow(id)
-		if err != nil {
-			return err
+		coord := &cluster.Coordinator{Queue: q}
+		if err := coord.Submit(s.clusterSpec(id, req, cfg)); err != nil {
+			return nil, err
 		}
-		genStart := time.Now()
-		gen := syn.Generate(req.Generate)
-		s.finishFlow(id, gen, syn.Stats(), time.Since(genStart))
-		s.persistFlowResult(id, syn, gen)
-	case "pcap":
-		syn, err := coord.AssemblePacket(id)
-		if err != nil {
-			return err
-		}
-		genStart := time.Now()
-		gen := syn.Generate(req.Generate)
-		s.finishPacket(id, gen, syn.Stats(), time.Since(genStart))
-		s.persistPacketResult(id, syn, gen)
-	default:
-		return fmt.Errorf("cluster job kind %q", req.Kind)
+		return coord, s.waitCluster(id, coord)
 	}
-	return nil
+	return trainer{
+		flow: func() (*core.FlowSynthesizer, error) {
+			coord, err := train()
+			if err != nil {
+				return nil, err
+			}
+			return coord.AssembleFlow(id)
+		},
+		packet: func() (*core.PacketSynthesizer, error) {
+			coord, err := train()
+			if err != nil {
+				return nil, err
+			}
+			return coord.AssemblePacket(id)
+		},
+	}
 }
 
 // waitCluster polls the queue until the job finishes, mirroring the

@@ -212,3 +212,54 @@ func TestConcurrentExactGeneratesShareOneDecode(t *testing.T) {
 		t.Fatalf("%d entry-cache hits for %d requests", d, len(calls))
 	}
 }
+
+// TestIdenticalRetrainKeepsChecksumAndEntry: a saved model carries no run
+// costs, so two identical training jobs store byte-identical containers
+// under one registry checksum, and overwriting a served model with an
+// identical retrain keeps its cached entry: the next generate is a cache
+// hit with no second decode.
+func TestIdenticalRetrainKeepsChecksumAndEntry(t *testing.T) {
+	ts, api, _ := startServerWithRegistry(t, t.TempDir())
+	var models [][]byte
+	var sums []uint32
+	for range 2 {
+		st := postJob(t, ts, tinyJob("netflow"))
+		if final := waitDone(t, api, ts, st.ID); final.State != StateDone {
+			t.Fatalf("job %s failed: %s", st.ID, final.Error)
+		}
+		waitPersisted(t, api, st.ID)
+		model, info, err := api.registry().ModelBytes(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models, sums = append(models, model), append(sums, info.Checksum)
+	}
+	if sums[0] != sums[1] || !bytes.Equal(models[0], models[1]) {
+		t.Fatalf("identical jobs stored checksums %08x and %08x", sums[0], sums[1])
+	}
+
+	const n = 50
+	if _, err := api.registry().PutModel("m", models[0]); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := generate(t, ts, "m", GenerateRequest{Count: n}); code != http.StatusOK {
+		t.Fatalf("warm-up generate: %d %s", code, body)
+	}
+	if _, err := api.registry().PutModel("m", models[1]); err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := telModelCacheHits.Value(), telModelCacheMiss.Value()
+	code, body := generate(t, ts, "m", GenerateRequest{Count: n})
+	if code != http.StatusOK {
+		t.Fatalf("generate after the retrain: %d %s", code, body)
+	}
+	if !bytes.Equal(body, refFlowCSV(t, models[1], n, -1)) {
+		t.Fatal("generate after the retrain is not a fresh load of the container")
+	}
+	if d := telModelCacheMiss.Value() - misses0; d != 0 {
+		t.Fatalf("%d container decodes after an identical retrain, want 0", d)
+	}
+	if d := telModelCacheHits.Value() - hits0; d != 1 {
+		t.Fatalf("%d entry-cache hits, want 1", d)
+	}
+}

@@ -410,11 +410,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	st := s.newJob(req.Kind)
 	telJobsSubmitted.Inc()
-	if req.Cluster {
-		go s.runCluster(st.ID, req)
-	} else {
-		go s.run(st.ID, req)
-	}
+	go s.run(st.ID, req)
 	writeJSON(w, http.StatusAccepted, st)
 }
 
@@ -506,11 +502,12 @@ func (req *JobRequest) config() core.Config {
 	return cfg
 }
 
-// run executes one job in the background. Panics in the job body are
-// contained: the job fails, the inflight slot is released, the completion
-// notification still fires, and — because every status mutation helper
-// unlocks via defer — no lock is left held, so the server stays fully
-// responsive afterwards.
+// run executes one job in the background: train in process or through
+// the cluster queue, then generate, publish and persist the result. Panics
+// in the job body are contained: the job fails, the inflight slot is
+// released, the completion notification still fires, and — because every
+// status mutation helper unlocks via defer — no lock is left held, so the
+// server stays fully responsive afterwards.
 func (s *Server) run(id string, req JobRequest) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
@@ -519,9 +516,7 @@ func (s *Server) run(id string, req JobRequest) {
 	defer sw.Stop()
 	defer func() {
 		if r := recover(); r != nil {
-			telJobsFailed.Inc()
-			s.setState(id, StateFailed, fmt.Errorf("job panicked: %v", r))
-			s.persistFailed(id)
+			s.fail(id, fmt.Errorf("job panicked: %v", r))
 		}
 	}()
 
@@ -530,53 +525,85 @@ func (s *Server) run(id string, req JobRequest) {
 		s.runHook(id)
 	}
 	cfg := req.config()
-	public := datasets.CAIDAChicago(s.publicPackets, cfg.Seed+500)
 	s.initChunks(id, cfg.Chunks)
+	var t trainer
+	if req.Cluster {
+		t = s.clusterTrainer(id, req, cfg)
+	} else {
+		t = s.localTrainer(id, req, cfg)
+	}
+	if err := s.trainAndFinish(id, req, t); err != nil {
+		s.fail(id, err)
+		return
+	}
+	telJobsDone.Inc()
+}
+
+// fail marks a job failed and persists its status.
+func (s *Server) fail(id string, err error) {
+	telJobsFailed.Inc()
+	s.setState(id, StateFailed, err)
+	s.persistFailed(id)
+}
+
+// trainer trains one job's synthesizer of either kind.
+type trainer struct {
+	flow   func() (*core.FlowSynthesizer, error)
+	packet func() (*core.PacketSynthesizer, error)
+}
+
+// localTrainer trains in this process, folding orchestrator progress
+// events into the job's chunk status.
+func (s *Server) localTrainer(id string, req JobRequest, cfg core.Config) trainer {
+	public := datasets.CAIDAChicago(s.publicPackets, cfg.Seed+500)
 	opts := core.TrainOptions{Orchestration: &orchestrator.Options{
 		MaxRetries: req.MaxRetries,
 		OnEvent:    func(ev orchestrator.Event) { s.chunkEvent(id, ev) },
 	}}
+	return trainer{
+		flow: func() (*core.FlowSynthesizer, error) {
+			real, err := loadFlowInput(req)
+			if err != nil {
+				return nil, err
+			}
+			return core.TrainFlowSynthesizerOpts(real, public, cfg, opts)
+		},
+		packet: func() (*core.PacketSynthesizer, error) {
+			real, err := loadPacketInput(req)
+			if err != nil {
+				return nil, err
+			}
+			return core.TrainPacketSynthesizerOpts(real, public, cfg, opts)
+		},
+	}
+}
 
-	var fail error
+// trainAndFinish trains the job's synthesizer, generates the requested
+// records, and publishes and persists the result.
+func (s *Server) trainAndFinish(id string, req JobRequest, t trainer) error {
 	switch req.Kind {
 	case "netflow":
-		real, err := loadFlowInput(req)
+		syn, err := t.flow()
 		if err != nil {
-			fail = err
-			break
-		}
-		syn, err := core.TrainFlowSynthesizerOpts(real, public, cfg, opts)
-		if err != nil {
-			fail = err
-			break
+			return err
 		}
 		genStart := time.Now()
 		gen := syn.Generate(req.Generate)
 		s.finishFlow(id, gen, syn.Stats(), time.Since(genStart))
 		s.persistFlowResult(id, syn, gen)
 	case "pcap":
-		real, err := loadPacketInput(req)
+		syn, err := t.packet()
 		if err != nil {
-			fail = err
-			break
-		}
-		syn, err := core.TrainPacketSynthesizerOpts(real, public, cfg, opts)
-		if err != nil {
-			fail = err
-			break
+			return err
 		}
 		genStart := time.Now()
 		gen := syn.Generate(req.Generate)
 		s.finishPacket(id, gen, syn.Stats(), time.Since(genStart))
 		s.persistPacketResult(id, syn, gen)
+	default:
+		return fmt.Errorf("job kind %q", req.Kind)
 	}
-	if fail != nil {
-		telJobsFailed.Inc()
-		s.setState(id, StateFailed, fail)
-		s.persistFailed(id)
-	} else {
-		telJobsDone.Inc()
-	}
+	return nil
 }
 
 // notifyDone signals job completion to the notifications channel (if one
